@@ -75,6 +75,11 @@ module Registry = struct
       b
     end
 
+  let of_list l : t =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a
+
   let iter (a : t) f = Array.iter f a
 end
 
@@ -546,14 +551,18 @@ let attach ?(bad_lines = []) ?report pool =
   let t = make pool ~kh ~checksums ~logs in
   (* Hardened chain walk: every pnext pointer is validated (alignment,
      bounds, acyclicity, no overlap with the root region) before it is
-     trusted, and a chunk whose prologue line the ECC flags is refused —
-     its bitmap and pnext cannot be trusted, and walking past them could
-     silently resurrect or drop keys. Corruption here surfaces as a
-     typed error instead of an [assert]/[Failure] deep in the walk. *)
+     trusted, and a chunk whose prologue line the media scrub flags is
+     refused — its bitmap and pnext cannot be trusted, and walking past
+     them could silently resurrect or drop keys. Corruption here
+     surfaces as a typed error instead of an [assert]/[Failure] deep in
+     the walk. Each class's registry is built in one sort of its walked
+     chunks ([seen] already rejects duplicates): adding them one by one
+     would copy the COW array per chunk, O(chunks²) per mount. *)
   let seen = Hashtbl.create 64 in
   for id = 0 to n_classes - 1 do
     let cls = cls_of_id id in
     t.heads.(id) <- Int64.to_int (Pmem.get_u64 pool (head_field cls));
+    let chunks = ref [] in
     let rec walk chunk =
       if chunk <> 0 then begin
         let site = Hart_error.Chunk_meta { cls = cls_name cls; chunk } in
@@ -571,7 +580,7 @@ let attach ?(bad_lines = []) ?report pool =
             "media-corrupt prologue line — bitmap and chain pointer \
              untrustworthy";
         match
-          registry_add t id chunk;
+          chunks := chunk :: !chunks;
           if not (Chunk.is_full pool ~chunk) then
             Hashtbl.replace t.avail.(id) chunk ();
           Chunk.pnext pool ~chunk
@@ -583,12 +592,14 @@ let attach ?(bad_lines = []) ?report pool =
             Hart_error.error site "chunk metadata on poisoned line %d" line
       end
     in
-    walk t.heads.(id)
+    walk t.heads.(id);
+    Atomic.set t.registry.(id) (Registry.of_list !chunks)
   done;
   (* Scrub the micro-logs BEFORE replay: a record sitting on a corrupt
      line, or failing its word CRC, must never be replayed — discarding
      it is the torn-record treatment (the logged operation did not
-     commit). Zero+persist also reseals the line's ECC entry. *)
+     commit). Zero+persist is a legitimate write-back, so it also clears
+     the line's fault record. *)
   if quarantine then begin
     let to_scrub = Hashtbl.create 8 in
     List.iter

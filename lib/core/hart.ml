@@ -440,8 +440,8 @@ let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
     stale_free
 
 (* Quarantining serial recovery: mount a pool that may carry media
-   faults. Differences from the plain path: the ECC table is consulted
-   up front, [Epalloc.attach] runs in quarantine mode (guarded replay,
+   faults. Differences from the plain path: the pool's media scrub
+   ([Pmem.media_verify]) runs up front, [Epalloc.attach] runs in quarantine mode (guarded replay,
    no eager slot repair), every committed leaf is validated before the
    index accepts it, duplicates resolve deterministically (lower offset
    wins) instead of aborting, and everything excised is reported in
@@ -547,7 +547,7 @@ let recover_parallel ?domains ?(quarantine = false) pool =
   if d < 1 then invalid_arg "Hart.recover_parallel: domains must be >= 1";
   if d = 1 then recover ~quarantine pool
   else begin
-    (* Quarantine preamble runs serially before the fan-out: the ECC
+    (* Quarantine preamble runs serially before the fan-out: the media
        scrub, the guarded attach, and the findings sink are shared
        read-mostly state the workers must only consult. *)
     let findings = ref [] in
@@ -1073,8 +1073,9 @@ let fsck ?(deep = true) t =
         !orphans)
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
   (* chunk header hint/full bytes are pure functions of the bitmap:
-     recompute on mismatch (skipped when the prologue line is flagged by
-     the ECC — rewriting would reseal a line whose bitmap is garbage) *)
+     recompute on mismatch (skipped when the media scrub flags the
+     prologue line — rewriting would clear the fault record of a line
+     whose bitmap is garbage) *)
   List.iter
     (fun cls ->
       Epalloc.iter_chunks alloc cls (fun chunk ->

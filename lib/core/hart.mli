@@ -51,11 +51,12 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     by scanning the leaf chunk list.
 
     With [~quarantine:true] the mount tolerates media faults: the
-    pool's line-ECC table is scrubbed first, log records on corrupt
-    lines (or failing their CRCs) are discarded instead of replayed,
-    every committed leaf is validated (media lines, key length, CRCs,
-    value resolution and commitment) before the index accepts it, and
-    duplicate keys resolve deterministically (lower leaf offset wins).
+    pool's media scrub ({!Hart_pmem.Pmem.media_verify}) runs first, log
+    records on corrupt lines (or failing their CRCs) are discarded
+    instead of replayed, every committed leaf is validated (media lines,
+    key length, CRCs, value resolution and commitment) before the index
+    accepts it, and duplicate keys resolve deterministically (lower leaf
+    offset wins).
     Everything excised is reported in {!quarantines}; value objects of
     excised leaves are freed only when provably unshared (a corrupt
     pointer may alias a live key's value). Without [quarantine] (the
@@ -93,7 +94,7 @@ val checksums : t -> bool
 val fsck : ?deep:bool -> t -> Hart_error.finding list
 (** Self-healing integrity check of the mounted store. Three phases:
 
-    - {e media attribution}: every line the pool's ECC table flags is
+    - {e media attribution}: every line the pool's media scrub flags is
       attributed to a structure (root block, log slot, chunk prologue,
       leaf/value slot, free space) and handled per the DESIGN.md §15
       decision table — zero+persist reseals what nothing references,

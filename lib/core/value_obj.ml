@@ -8,7 +8,7 @@ let cls_for payload = Chunk.value_class_for (String.length payload)
    selection is unchanged (a payload that exactly fills its class would
    otherwise be pushed up a class, changing allocation behaviour between
    checksummed and plain pools). Values too big for a trailer are still
-   covered by the pool's per-line ECC table. *)
+   covered by the pool's line ECC (its media-fault ledger). *)
 let crc_fits cls len = Chunk.obj_size cls - 1 - len >= 4
 
 let value_crc payload = Crc32.string (String.make 1 (Char.chr (String.length payload)) ^ payload)

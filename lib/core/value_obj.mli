@@ -10,7 +10,8 @@ val write : ?crc:bool -> Hart_pmem.Pmem.t -> obj:int -> string -> unit
     Algorithm 3 line 5). With [~crc:true], a CRC-32 of (length byte +
     payload) is appended when the size class leaves ≥ 4 slack bytes —
     class selection is never changed by the trailer; payloads that fill
-    their class rely on the pool's per-line ECC instead.
+    their class rely on the pool's line ECC
+    ({!Hart_pmem.Pmem.media_verify}) instead.
     @raise Invalid_argument beyond 31 bytes. *)
 
 val read : Hart_pmem.Pmem.t -> obj:int -> string

@@ -36,20 +36,14 @@ type t = {
   mutable crash_fired : bool;  (* a crash happened since the last arm *)
   mutable total_flushes : int;  (* lifetime protocol flushes, survives Meter.reset *)
   mutable read_trace : (int, unit) Hashtbl.t option;  (* lines read while tracing *)
-  (* Media model. [line_crc] is the per-line ECC the DIMM stores alongside
-     each 64-byte line: volatile from the simulation's point of view (it
-     costs nothing on the simulated clock) and updated by every legitimate
-     write-back. Injected media faults mutate the durable image WITHOUT
-     touching it, which is exactly what makes them detectable. *)
-  mutable line_crc : int array;
+  (* Media model. Faults are the only way the durable image departs from
+     what legitimate writes produced, so [expected] is a sparse ledger:
+     the CRC-32 of a line's legitimate content, kept only for lines a
+     fault touched and dropped by the next legitimate write-back. *)
+  expected : (int, int) Hashtbl.t;  (* line -> CRC it should have *)
   stuck : (int, unit) Hashtbl.t;  (* lines silently dropping write-backs *)
   poisoned : (int, unit) Hashtbl.t;  (* lines raising on any load *)
 }
-
-let crc_zero_line =
-  Hart_util.Crc32.bytes_sub (Bytes.make line_bytes '\000') ~off:0 ~len:line_bytes
-
-let crc_lines cap = (cap + line_bytes - 1) / line_bytes
 
 let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
   let capacity = max line_bytes capacity in
@@ -70,7 +64,7 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     crash_fired = false;
     total_flushes = 0;
     read_trace = None;
-    line_crc = Array.make (crc_lines capacity) crc_zero_line;
+    expected = Hashtbl.create 4;
     stuck = Hashtbl.create 4;
     poisoned = Hashtbl.create 4;
   }
@@ -86,7 +80,7 @@ let clone t =
     free_lists;
     alloc_mu = Mutex.create ();
     read_trace = None;
-    line_crc = Array.copy t.line_crc;
+    expected = Hashtbl.copy t.expected;
     stuck = Hashtbl.copy t.stuck;
     poisoned = Hashtbl.copy t.poisoned;
   }
@@ -115,12 +109,9 @@ let grow t needed =
   Bytes.blit t.cache 0 cache 0 t.capacity;
   Bytes.blit t.shadow 0 shadow 0 t.capacity;
   Bytes.blit t.dirty 0 dirty 0 (Bytes.length t.dirty);
-  let line_crc = Array.make (crc_lines cap) crc_zero_line in
-  Array.blit t.line_crc 0 line_crc 0 (Array.length t.line_crc);
   t.cache <- cache;
   t.shadow <- shadow;
   t.dirty <- dirty;
-  t.line_crc <- line_crc;
   t.capacity <- cap
 
 (* [alloc]/[free] are domain-safe: brk, live and the free lists are
@@ -139,12 +130,12 @@ let alloc t size =
         cell := rest;
         t.live <- t.live + rounded;
         (* recycled space must read as zero in both views, like fresh space;
-           the allocator's scrub is a legitimate media write, so it reseals
-           the lines' ECC and clears any read poison on them *)
+           the allocator's scrub is a legitimate media write, so it clears
+           any fault record and read poison on the lines *)
         Bytes.fill t.cache off rounded '\000';
         Bytes.fill t.shadow off rounded '\000';
         for line = off / line_bytes to (off + rounded) / line_bytes - 1 do
-          t.line_crc.(line) <- crc_zero_line;
+          Hashtbl.remove t.expected line;
           Hashtbl.remove t.poisoned line
         done;
         off
@@ -280,22 +271,25 @@ let read_shadow_u64 t off =
   check t off 8 "read_shadow_u64";
   Bytes.get_int64_le t.shadow off
 
+let crc_of_line buf line =
+  Hart_util.Crc32.bytes_sub buf ~off:(line * line_bytes) ~len:line_bytes
+
 (* One line's worth of data leaving the cache hierarchy for the media —
    the only path by which the durable image legitimately changes after
    init. A stuck line silently drops the data, but the controller still
-   reports success and records the ECC of what it MEANT to write, so the
-   loss shows up later as an ECC/content mismatch in {!media_verify}.
-   A successful full-line write-back replaces a poisoned line's cell
-   contents, clearing the poison. *)
+   reports success and records the CRC of what it MEANT to write, so the
+   loss shows up later as a mismatch in {!media_verify}. A successful
+   full-line write-back makes the line legitimate again and replaces a
+   poisoned line's cell contents, clearing the poison. *)
 let writeback_line t line =
-  if Hashtbl.mem t.stuck line then
-    t.line_crc.(line) <-
-      Hart_util.Crc32.bytes_sub t.cache ~off:(line * line_bytes) ~len:line_bytes
+  if Hashtbl.length t.stuck > 0 && Hashtbl.mem t.stuck line then
+    Hashtbl.replace t.expected line (crc_of_line t.cache line)
   else begin
     Bytes.blit t.cache (line * line_bytes) t.shadow (line * line_bytes) line_bytes;
-    t.line_crc.(line) <-
-      Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes) ~len:line_bytes;
-    Hashtbl.remove t.poisoned line
+    if Hashtbl.length t.expected > 0 || Hashtbl.length t.poisoned > 0 then begin
+      Hashtbl.remove t.expected line;
+      Hashtbl.remove t.poisoned line
+    end
   end
 
 let flush_line t line =
@@ -530,15 +524,10 @@ let load ?(max_capacity = 1 lsl 30) meter path =
           stored !crc;
       if pos_in ic <> in_channel_length ic then
         failwith "Pmem.load: trailing bytes after pool data";
+      (* a mounted image starts with no fault records: image-file
+         integrity is the trailer's job, detection of post-mount media
+         faults is the fault ledger's *)
       Bytes.blit t.shadow 0 t.cache 0 brk;
-      (* the on-DIMM ECC reseals on mount: image-file integrity is the
-         trailer's job, detection of post-mount media faults is this
-         table's job *)
-      for line = 0 to (brk / line_bytes) - 1 do
-        t.line_crc.(line) <-
-          Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes)
-            ~len:line_bytes
-      done;
       t.brk <- brk;
       t.live <- live;
       t)
@@ -565,9 +554,15 @@ let check_line t line op =
     invalid_arg
       (Printf.sprintf "Pmem.%s: line %d outside pool (brk=%d)" op line t.brk)
 
+(* before a content fault first touches a line, ledger its legitimate CRC *)
+let record_expected t line =
+  if not (Hashtbl.mem t.expected line) then
+    Hashtbl.add t.expected line (crc_of_line t.shadow line)
+
 let inject_media_fault t fault =
   let flip off bit =
     check t off 1 "inject_media_fault";
+    record_expected t (off / line_bytes);
     let b = Bytes.get_uint8 t.shadow off in
     Bytes.set_uint8 t.shadow off (b lxor (1 lsl (bit land 7)));
     refresh_cache_line t (off / line_bytes)
@@ -581,6 +576,7 @@ let inject_media_fault t fault =
       done
   | Clobber_line { line; seed } ->
       check_line t line "inject_media_fault";
+      record_expected t line;
       let rng = Hart_util.Rng.create seed in
       for i = 0 to line_bytes - 1 do
         Bytes.set_uint8 t.shadow ((line * line_bytes) + i)
@@ -594,17 +590,20 @@ let inject_media_fault t fault =
       check_line t line "inject_media_fault";
       Hashtbl.replace t.poisoned line ()
 
+(* O(faults): only a ledgered line can disagree with its legitimate CRC *)
 let media_verify t =
-  let corrupt = ref [] and poisoned = ref [] in
-  for line = (t.brk / line_bytes) - 1 downto 0 do
-    if Hashtbl.mem t.poisoned line then poisoned := line :: !poisoned
-    else if
-      Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes)
-        ~len:line_bytes
-      <> t.line_crc.(line)
-    then corrupt := line :: !corrupt
-  done;
-  { corrupt_lines = !corrupt; poisoned_lines = !poisoned }
+  let corrupt =
+    Hashtbl.fold
+      (fun line crc acc ->
+        if Hashtbl.mem t.poisoned line || crc_of_line t.shadow line = crc then acc
+        else line :: acc)
+      t.expected []
+  in
+  let poisoned = Hashtbl.fold (fun line () acc -> line :: acc) t.poisoned [] in
+  {
+    corrupt_lines = List.sort compare corrupt;
+    poisoned_lines = List.sort compare poisoned;
+  }
 
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>pool: capacity=%d brk=%d live=%d dirty_lines=%d@ %a@]"

@@ -34,7 +34,7 @@ exception Media_poisoned of { off : int; line : int }
     poisoned 64-byte line. *)
 
 val line_bytes : int
-(** Size of a cache/media line (64). Media faults, the line-ECC table
+(** Size of a cache/media line (64). Media faults, the fault ledger
     and flush granularity all work on these units. *)
 
 val create : ?capacity:int -> ?max_capacity:int -> Meter.t -> t
@@ -218,15 +218,19 @@ val evict_random : t -> Hart_util.Rng.t -> fraction:float -> unit
     Beyond torn flushes, real PM suffers media faults: bit rot, whole
     lines returning garbage, cells that stop accepting writes, and
     uncorrectable reads. The pool models them deterministically, and
-    pairs them with an always-on per-line CRC-32 side table — the
-    simulation's stand-in for the DIMM's per-line ECC. Every legitimate
-    write-back (flush, background eviction, torn-crash eviction,
-    allocator scrub) updates the table; injected faults mutate the
-    durable image {e without} updating it. {!media_verify} is therefore
-    a ground-truth-free detector: it reports exactly the lines whose
-    durable content no legitimate write produced. The table is volatile
-    metadata and costs nothing on the simulated clock (checksum
-    placement/cost accounting is discussed in DESIGN.md §15). *)
+    stands in for the DIMM's per-line ECC with a sparse fault ledger.
+    Faults are the only way the durable image departs from what
+    legitimate writes produced, so the ledger holds a CRC-32 only for
+    lines a fault touched: a content fault first records the CRC of the
+    line's legitimate content, and a write-back dropped by a stuck line
+    records the CRC of the data it meant to write. The next legitimate
+    write-back (flush, background eviction, torn-crash eviction) or
+    allocator scrub drops the entry; {!load} and {!create} start with
+    none, and {!clone} copies it. {!media_verify} reports exactly the
+    lines whose durable content no legitimate write produced, as a CRC
+    table over every line would. The ledger is volatile metadata, costs
+    nothing on the simulated clock and nothing on the flush path of a
+    pool without faults (see DESIGN.md §15). *)
 
 type media_fault =
   | Flip_bit of { off : int; bit : int }
@@ -238,19 +242,20 @@ type media_fault =
       (** overwrite the whole 64-byte line with seeded garbage *)
   | Stuck_line of { line : int }
       (** the line silently drops all future write-backs: flushes report
-          success (and update the ECC table with the intended data, which
-          is what makes the loss detectable) but the durable image keeps
-          its old content *)
+          success (and ledger the CRC of the intended data, which is what
+          makes the loss detectable) but the durable image keeps its old
+          content *)
   | Poison_line of { line : int }
       (** uncorrectable: any load touching the line raises
           {!Media_poisoned} until a full-line write-back replaces its
           contents *)
 
 type media_report = { corrupt_lines : int list; poisoned_lines : int list }
-(** [corrupt_lines]: lines whose durable content disagrees with the ECC
-    table, ascending. [poisoned_lines]: lines currently raising on
-    load. The two are disjoint (a poisoned line cannot be checksummed —
-    it cannot be read at all). *)
+(** [corrupt_lines]: lines whose durable content no legitimate write
+    produced (their CRC disagrees with the ledgered one), ascending.
+    [poisoned_lines]: lines currently raising on load, ascending. The two
+    are disjoint (a poisoned line cannot be checksummed — it cannot be
+    read at all). *)
 
 val inject_media_fault : t -> media_fault -> unit
 (** Apply one fault to the durable image (and, for content faults, to
@@ -259,8 +264,10 @@ val inject_media_fault : t -> media_fault -> unit
     @raise Invalid_argument for out-of-pool coordinates. *)
 
 val media_verify : t -> media_report
-(** Scrub pass over every line below [brk]: recompute each line's CRC
-    and compare with the ECC table. Free on the simulated clock (the
-    device-internal scrubber the simulation assumes). *)
+(** Scrub pass: recompute the CRC of every ledgered line and compare it
+    with the ledgered one, and list the poisoned lines — O(faults), not
+    O(pool lines), since no other line can be corrupt. Free on the
+    simulated clock (the device-internal scrubber the simulation
+    assumes). *)
 
 val pp_stats : Format.formatter -> t -> unit

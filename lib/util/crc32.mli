@@ -1,10 +1,10 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 
     Used as the integrity check for persisted PM objects, micro-log
-    words and pool images, and as the always-on per-line "media ECC"
-    side table in {!Hart_pmem.Pmem}. Table-driven; byte-exact with the
-    zlib/POSIX cksum-style CRC-32 (check value of ["123456789"] is
-    [0xCBF43926]).
+    words and pool images, and for the lines in {!Hart_pmem.Pmem}'s
+    media-fault ledger (its stand-in for device ECC). Table-driven;
+    byte-exact with the zlib/POSIX cksum-style CRC-32 (check value of
+    ["123456789"] is [0xCBF43926]).
 
     All results are returned in the low 32 bits of a non-negative
     [int]. *)

@@ -1309,6 +1309,134 @@ let test_parallel_recover_validation () =
     | (_ : Hart.t) -> false
     | exception Invalid_argument _ -> true)
 
+(* Attach builds each class's chunk registry from the chain walk in one
+   sort. Churn a pool until its chunk lists are far out of address order:
+   thousands of chunks across all four classes, a block of them recycled
+   back to the pool and then reallocated at lower addresses. Both
+   recovery paths must rebuild registries that agree with the lists, and
+   every key must read back — also when the mount has to replay a
+   pending recycle log. *)
+let registry_key i =
+  Printf.sprintf "%c%c-reg%06d"
+    (Char.chr (Char.code 'a' + (i mod 23)))
+    (Char.chr (Char.code 'a' + (i / 23 mod 17)))
+    i
+
+let registry_value i =
+  match i mod 3 with
+  | 0 -> Printf.sprintf "v%d" (i mod 100_000)
+  | 1 -> Printf.sprintf "medium-%08d" i
+  | _ -> Printf.sprintf "wide-value-padding-%010d" i
+
+let chunk_list a cls =
+  let l = ref [] in
+  Epalloc.iter_chunks a cls (fun c -> l := c :: !l);
+  List.rev !l
+
+let churned_registry_pool () =
+  let h, pool = fresh_hart () in
+  let live = Hashtbl.create 65_536 in
+  let insert i =
+    Hart.insert h ~key:(registry_key i) ~value:(registry_value i);
+    Hashtbl.replace live (registry_key i) (registry_value i)
+  and delete i =
+    if not (Hart.delete h (registry_key i)) then Alcotest.failf "%d not deleted" i;
+    Hashtbl.remove live (registry_key i)
+  in
+  for i = 0 to 71_999 do
+    insert i
+  done;
+  (* an address-contiguous block of chunks empties and is recycled ... *)
+  for i = 24_000 to 47_999 do
+    delete i
+  done;
+  (* ... and fresh inserts reallocate that space, linked at the heads *)
+  for i = 72_000 to 89_999 do
+    insert i
+  done;
+  (* thin the survivors so the lists also carry sparse chunks *)
+  for i = 0 to 71_999 do
+    if (i < 24_000 || i >= 48_000) && i mod 4 <> 0 then delete i
+  done;
+  let chunks = chunk_list (Hart.alloc h) in
+  let all = [ Chunk.Leaf_c; Chunk.Val8; Chunk.Val16; Chunk.Val32 ] in
+  let total = List.fold_left (fun n cls -> n + List.length (chunks cls)) 0 all in
+  Alcotest.(check bool) (Printf.sprintf "thousands of chunks (%d)" total) true
+    (total >= 2_000);
+  List.iter
+    (fun cls ->
+      let l = chunks cls in
+      Alcotest.(check bool)
+        (Epalloc.cls_name cls ^ " list out of address order")
+        true
+        (l <> List.sort compare l && l <> List.sort (Fun.flip compare) l))
+    all;
+  (h, pool, live)
+
+let check_registry_recovery ?allow_recovered_orphans live pool =
+  List.iter
+    (fun (name, recover) ->
+      let h = recover (Pmem.clone pool) in
+      Epalloc.check_invariants (Hart.alloc h);
+      Hart.check_integrity ?allow_recovered_orphans h;
+      Alcotest.(check int) (name ^ ": count") (Hashtbl.length live) (Hart.count h);
+      Hashtbl.iter
+        (fun k v ->
+          if Hart.search h k <> Some v then Alcotest.failf "%s: %s lost" name k)
+        live)
+    [
+      ("serial", fun p -> Hart.recover p);
+      ("parallel", fun p -> Hart.recover_parallel ~domains:2 p);
+    ]
+
+let test_attach_registry_out_of_order () =
+  let _, pool, live = churned_registry_pool () in
+  Pmem.crash pool;
+  check_registry_recovery live pool
+
+let test_attach_registry_pending_recycle () =
+  let h, pool, live = churned_registry_pool () in
+  (* drain a mid-list leaf chunk down to one key, so deleting that key
+     unlinks the chunk under the recycle log *)
+  let chunk = List.nth (chunk_list (Hart.alloc h) Chunk.Leaf_c) 1 in
+  let keys = ref [] in
+  Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ->
+      keys := Leaf.key pool ~leaf:obj :: !keys);
+  let last, drain =
+    match List.sort compare !keys with
+    | k :: rest -> (k, rest)
+    | [] -> Alcotest.fail "mid-list chunk is empty"
+  in
+  List.iter
+    (fun k ->
+      if not (Hart.delete h k) then Alcotest.failf "%s not drained" k;
+      Hashtbl.remove live k)
+    drain;
+  Pmem.crash pool;
+  let delete_last h =
+    let f0 = Pmem.flush_count (Hart.pool h) in
+    Alcotest.(check bool) "last key deleted" true (Hart.delete h last);
+    Pmem.flush_count (Hart.pool h) - f0
+  in
+  let flushes = delete_last (Hart.recover (Pmem.clone pool)) in
+  Hashtbl.remove live last;
+  (* latest crash point first: the log is pending until its final reclaim *)
+  let rec crash_pending k =
+    if k < 0 then Alcotest.fail "no crash point leaves the recycle log pending";
+    let p = Pmem.clone pool in
+    let h = Hart.recover p in
+    Pmem.arm_crash p ~after_flushes:k;
+    (match delete_last h with
+    | (_ : int) -> Alcotest.failf "crash at flush %d never fired" k
+    | exception Pmem.Crash_injected -> ());
+    let pending = ref false in
+    Microlog.Recycle.iter_pending (Epalloc.logs (Hart.alloc h))
+      (fun ~slot:_ -> pending := true);
+    if !pending then p else crash_pending (k - 1)
+  in
+  check_registry_recovery ~allow_recovered_orphans:true live
+    (crash_pending (flushes - 1))
+
 (* ------------------------------------------------------------------ *)
 (* Rwlock and Hart_mt                                                  *)
 
@@ -2060,6 +2188,10 @@ let () =
           Alcotest.test_case "short keys, kh=3" `Quick test_parallel_recover_short_keys;
           Alcotest.test_case "pending update log" `Quick test_parallel_recover_pending_log;
           Alcotest.test_case "validation" `Quick test_parallel_recover_validation;
+          Alcotest.test_case "registry from out-of-order chunk lists" `Quick
+            test_attach_registry_out_of_order;
+          Alcotest.test_case "registry with pending recycle replay" `Quick
+            test_attach_registry_pending_recycle;
         ] );
       ( "recover-roundtrip",
         [

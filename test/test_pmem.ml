@@ -651,6 +651,250 @@ let test_media_fault_bounds () =
   Alcotest.(check bool) "out-of-pool poison" true
     (rejected (Pmem.Poison_line { line = 1 lsl 24 }))
 
+(* Differential check of the sparse fault ledger against the direct model
+   of device ECC: a CRC-32 for every line, rewritten on every legitimate
+   write-back. The reference mirrors the volatile view and the dirty map
+   itself (it knows every store), and reads the durable image back
+   through [read_shadow_u64]. *)
+type ledger_ref = {
+  r_cache : Bytes.t;
+  r_dirty : (int, unit) Hashtbl.t;
+  r_crc : (int, int) Hashtbl.t;  (* absent: CRC of an all-zero line *)
+  r_stuck : (int, unit) Hashtbl.t;
+  r_poisoned : (int, unit) Hashtbl.t;
+  mutable r_brk : int;
+  mutable r_regions : (int * int) list;  (* (off, line-rounded size) *)
+}
+
+let ref_limit = 1 lsl 15
+let zero_line_crc = Crc32.string (String.make 64 '\000')
+
+let ref_create () =
+  {
+    r_cache = Bytes.make ref_limit '\000';
+    r_dirty = Hashtbl.create 16;
+    r_crc = Hashtbl.create 16;
+    r_stuck = Hashtbl.create 4;
+    r_poisoned = Hashtbl.create 4;
+    r_brk = 64;
+    r_regions = [];
+  }
+
+let shadow_line pool line =
+  let b = Bytes.create 64 in
+  for w = 0 to 7 do
+    Bytes.set_int64_le b (w * 8) (Pmem.read_shadow_u64 pool ((line * 64) + (w * 8)))
+  done;
+  b
+
+let ref_line_crc m line =
+  Option.value (Hashtbl.find_opt m.r_crc line) ~default:zero_line_crc
+
+let ref_dirty_lines m =
+  List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) m.r_dirty [])
+
+(* a stuck line records the intended data's CRC, any other line takes
+   the data (same CRC) and loses its poison *)
+let ref_writeback m line =
+  Hashtbl.replace m.r_crc line (Crc32.bytes_sub m.r_cache ~off:(line * 64) ~len:64);
+  if not (Hashtbl.mem m.r_stuck line) then Hashtbl.remove m.r_poisoned line
+
+let ref_refresh m pool line =
+  Bytes.blit (shadow_line pool line) 0 m.r_cache (line * 64) 64;
+  Hashtbl.remove m.r_dirty line
+
+let ref_power_cycle m pool =
+  for line = 0 to (m.r_brk / 64) - 1 do
+    ref_refresh m pool line
+  done
+
+let ref_verify m pool =
+  let corrupt = ref [] and poisoned = ref [] in
+  for line = (m.r_brk / 64) - 1 downto 0 do
+    if Hashtbl.mem m.r_poisoned line then poisoned := line :: !poisoned
+    else if Crc32.bytes_sub (shadow_line pool line) ~off:0 ~len:64 <> ref_line_crc m line
+    then corrupt := line :: !corrupt
+  done;
+  { Pmem.corrupt_lines = !corrupt; poisoned_lines = !poisoned }
+
+(* One random step, applied to the pool and mirrored in the reference.
+   Returns the pool to continue with (clone and load replace it). *)
+let ledger_step r m pool =
+  let lines () = m.r_brk / 64 in
+  let region () = List.nth m.r_regions (Rng.int r (List.length m.r_regions)) in
+  let sub (off, size) =
+    let o = off + Rng.int r size in
+    (o, 1 + Rng.int r (min 80 (off + size - o)))
+  in
+  let fault f = Pmem.inject_media_fault pool f in
+  let armed_crash mode =
+    Pmem.arm_crash ~mode pool ~after_flushes:0;
+    Pmem.crash pool
+  in
+  if m.r_regions = [] || (Rng.int r 8 = 0 && m.r_brk + 256 <= ref_limit) then begin
+    let size = 64 * (1 + Rng.int r 4) in
+    let off = Pmem.alloc pool size in
+    Alcotest.(check int) "fresh allocation at brk" m.r_brk off;
+    m.r_brk <- m.r_brk + size;
+    m.r_regions <- (off, size) :: m.r_regions;
+    pool
+  end
+  else
+  match Rng.int r 19 with
+  | 0 | 1 | 2 | 3 | 4 ->
+      let off, len = sub (region ()) in
+      let s = String.init len (fun _ -> Char.chr (Rng.int r 256)) in
+      Pmem.set_string pool ~off s;
+      Bytes.blit_string s 0 m.r_cache off len;
+      for line = off / 64 to (off + len - 1) / 64 do
+        Hashtbl.replace m.r_dirty line ()
+      done;
+      pool
+  | 5 | 6 | 7 ->
+      let off, len = sub (region ()) in
+      Pmem.persist pool ~off ~len;
+      for line = off / 64 to (off + len - 1) / 64 do
+        if Hashtbl.mem m.r_dirty line then begin
+          ref_writeback m line;
+          Hashtbl.remove m.r_dirty line
+        end
+      done;
+      pool
+  | 8 ->
+      Pmem.persist_all pool;
+      List.iter (ref_writeback m) (ref_dirty_lines m);
+      Hashtbl.reset m.r_dirty;
+      pool
+  | 9 ->
+      let seed = Rng.next64 r and fraction = Rng.float r 1.0 in
+      Pmem.evict_random pool (Rng.create seed) ~fraction;
+      let rr = Rng.create seed in
+      List.iter
+        (fun line ->
+          if Rng.float rr 1.0 < fraction then begin
+            ref_writeback m line;
+            Hashtbl.remove m.r_dirty line
+          end)
+        (ref_dirty_lines m);
+      pool
+  | 10 ->
+      let off = Rng.int r m.r_brk in
+      fault (Pmem.Flip_bit { off; bit = Rng.int r 8 });
+      ref_refresh m pool (off / 64);
+      pool
+  | 11 ->
+      let seed = Rng.next64 r and flips = 1 + Rng.int r 6 in
+      fault (Pmem.Flip_bits { seed; flips });
+      (* same draw order as the pool's own loop *)
+      let rr = Rng.create seed in
+      let touch off _bit = ref_refresh m pool (off / 64) in
+      for _ = 1 to flips do
+        touch (Rng.int rr m.r_brk) (Rng.int rr 8)
+      done;
+      pool
+  | 12 -> (
+      let line = Rng.int r (lines ()) in
+      match Rng.int r 3 with
+      | 0 ->
+          fault (Pmem.Clobber_line { line; seed = Rng.next64 r });
+          ref_refresh m pool line;
+          pool
+      | 1 ->
+          fault (Pmem.Stuck_line { line });
+          Hashtbl.replace m.r_stuck line ();
+          pool
+      | _ ->
+          fault (Pmem.Poison_line { line });
+          Hashtbl.replace m.r_poisoned line ();
+          pool)
+  | 13 | 14 ->
+      (* free then reallocate: the allocator's scrub *)
+      let off, size = region () in
+      Pmem.free pool ~off ~len:size;
+      Alcotest.(check int) "scrubbed region handed back" off (Pmem.alloc pool size);
+      Bytes.fill m.r_cache off size '\000';
+      for line = off / 64 to ((off + size) / 64) - 1 do
+        Hashtbl.remove m.r_crc line;
+        Hashtbl.remove m.r_poisoned line
+      done;
+      pool
+  | 15 ->
+      (match Rng.int r 3 with
+      | 0 -> Pmem.crash pool
+      | 1 ->
+          let seed = Rng.next64 r and fraction = Rng.float r 1.0 in
+          armed_crash (Pmem.Torn { seed; fraction });
+          let rr = Rng.create seed in
+          List.iter
+            (fun line -> if Rng.float rr 1.0 < fraction then ref_writeback m line)
+            (ref_dirty_lines m)
+      | _ ->
+          let listed = List.init (Rng.int r 5) (fun _ -> Rng.int r (lines () + 2)) in
+          armed_crash (Pmem.Torn_lines listed);
+          List.iter
+            (fun line -> if Hashtbl.mem m.r_dirty line then ref_writeback m line)
+            listed);
+      ref_power_cycle m pool;
+      pool
+  | 16 ->
+      (* continue on the clone, which the reference still describes;
+         faults on the discarded original must not reach it *)
+      let dup = Pmem.clone pool in
+      let line = Rng.int r (lines ()) in
+      fault (Pmem.Clobber_line { line; seed = 1L });
+      fault (Pmem.Stuck_line { line });
+      fault (Pmem.Poison_line { line });
+      dup
+  | 17 ->
+      let path = Filename.temp_file "hart_ledger" ".pm" in
+      Pmem.save pool path;
+      let pool = Pmem.load (Pmem.meter pool) path in
+      Sys.remove path;
+      (* a mount reseals every line *)
+      Hashtbl.reset m.r_crc;
+      for line = 0 to lines () - 1 do
+        Hashtbl.replace m.r_crc line
+          (Crc32.bytes_sub (shadow_line pool line) ~off:0 ~len:64)
+      done;
+      Hashtbl.reset m.r_stuck;
+      Hashtbl.reset m.r_poisoned;
+      ref_power_cycle m pool;
+      pool
+  | _ ->
+      let cap = Pmem.capacity pool in
+      if cap < 1 lsl 17 then begin
+        Pmem.reserve pool (2 * cap);
+        Alcotest.(check bool) "reserve grew the pool" true (Pmem.capacity pool > cap)
+      end;
+      pool
+
+let qcheck_ledger_vs_full_table =
+  let report = QCheck.Gen.(pair (map Int64.of_int int) (int_range 1 120)) in
+  QCheck.Test.make ~count:300
+    ~name:"fault ledger = full per-line CRC table"
+    (QCheck.make ~print:QCheck.Print.(pair Int64.to_string int) report)
+    (fun (seed, steps) ->
+      let r = Rng.create seed in
+      let pool = ref (fst (fresh ~capacity:4096 ())) and m = ref_create () in
+      for _ = 1 to steps do
+        pool := ledger_step r m !pool;
+        let want = ref_verify m !pool and got = Pmem.media_verify !pool in
+        Alcotest.(check (list int)) "corrupt lines" want.Pmem.corrupt_lines
+          got.Pmem.corrupt_lines;
+        Alcotest.(check (list int)) "poisoned lines" want.Pmem.poisoned_lines
+          got.Pmem.poisoned_lines;
+        Alcotest.(check int) "dirty lines" (Hashtbl.length m.r_dirty)
+          (Pmem.dirty_line_count !pool)
+      done;
+      (* the mirrored volatile view matches the pool's *)
+      for line = 0 to (m.r_brk / 64) - 1 do
+        if not (Hashtbl.mem m.r_poisoned line) then
+          Alcotest.(check string) "volatile view"
+            (Bytes.sub_string m.r_cache (line * 64) 64)
+            (Pmem.get_string !pool ~off:(line * 64) ~len:64)
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Flush counting, cloning, torn crash mode                            *)
 
@@ -875,6 +1119,7 @@ let () =
             test_media_poison_line;
           Alcotest.test_case "fault coordinates bounds-checked" `Quick
             test_media_fault_bounds;
+          QCheck_alcotest.to_alcotest qcheck_ledger_vs_full_table;
         ] );
       ( "fault-injection",
         [
