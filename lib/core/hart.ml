@@ -439,105 +439,59 @@ let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
       Pmem.persist pool ~off:leaf ~len:Leaf.size)
     stale_free
 
-(* Quarantining serial recovery: mount a pool that may carry media
-   faults. Differences from the plain path: the pool's media scrub
-   ([Pmem.media_verify]) runs up front, [Epalloc.attach] runs in quarantine mode (guarded replay,
-   no eager slot repair), every committed leaf is validated before the
-   index accepts it, duplicates resolve deterministically (lower offset
-   wins) instead of aborting, and everything excised is reported in
-   {!quarantines}. *)
-let recover_quarantine pool =
-  let media = Pmem.media_verify pool in
-  let bad_lines = media.Pmem.corrupt_lines @ media.Pmem.poisoned_lines in
-  let bad_span = bad_span_of_lines bad_lines in
-  let findings = ref [] in
-  let alloc =
-    Epalloc.attach ~bad_lines ~report:(fun f -> findings := f :: !findings) pool
+(* ---- the grouped rebuild ------------------------------------------ *)
+
+(* Algorithm 7 after log replay, one core for every domain count and
+   both mount modes. [Epalloc.attach] (and, when quarantining, the
+   serial repair step) are recovery's only PM writers; the rebuild reads
+   PM and writes DRAM, in phases separated by [Domain.join] (the
+   happens-before edge):
+
+   - scan: domain [me] of [d] walks its contiguous slice of the leaf
+     chunk chain. Leaf [idx] of the [ci]-th chunk owns slot
+     [ci * objs_per_chunk + idx] of flat per-slot arrays, so slot order
+     is chain-scan order and domains write disjoint slots.
+   - quarantine (serial): resolve duplicate keys and apply every PM
+     repair the scan's verdicts call for.
+   - build: domain [p] takes the slots of its directory-hash partition,
+     groups them by hash key — scan order inside a group, first-seen
+     order across groups — and builds each ART from its group in one
+     pass, so consecutive inserts stay inside one cache-warm ART
+     instead of landing on a random one of thousands. Partitions own
+     disjoint hash-key sets, so every ART sees its leaves in global
+     scan order whatever [d] is.
+   - install: each ART enters the directory once, in global first-seen
+     order, so every [d] yields the same directory.
+
+   [recover] is [d = 1]: one partition, no domain spawned. Scan and
+   build issue no flushes, so an armed crash ([Pmem.arm_crash]) can only
+   fire in attach or the serial quarantine step, and nested
+   crash-during-recovery schedules are the same for every [d]. *)
+
+(* [phase 0] here and [phase 1 .. d-1] on fresh domains; every domain is
+   joined before the first failure is re-raised. *)
+let run_phases d phase =
+  let workers =
+    List.init (d - 1) (fun i -> Domain.spawn (fun () -> phase (i + 1)))
   in
-  let checksums = Epalloc.checksums alloc in
-  let t = make_recovered pool alloc findings in
-  let valid = ref [] and badq = ref [] and stale_free = ref [] in
-  Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
-      for idx = 0 to Chunk.objs_per_chunk - 1 do
-        let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-        if Chunk.test_bit pool ~chunk ~idx then (
-          match inspect_leaf alloc ~checksums ~bad_span ~leaf with
-          | Leaf_ok { key; pv } -> valid := (key, leaf, chunk, idx, pv) :: !valid
-          | Leaf_bad { key; pv; detail } ->
-              badq := (chunk, idx, leaf, key, pv, detail) :: !badq)
-        else
-          match Leaf.p_value pool ~leaf with
-          | 0 -> ()
-          | pv -> stale_free := (leaf, pv) :: !stale_free
-          | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
-              (* unreadable pointer in a free slot: clear, free nothing *)
-              stale_free := (leaf, 0) :: !stale_free
-      done);
-  (* deterministic duplicate resolution: keep the lower leaf offset *)
-  let by_key = Hashtbl.create 256 in
-  List.iter
-    (fun ((key, leaf, chunk, idx, pv) as e) ->
-      match Hashtbl.find_opt by_key key with
-      | None -> Hashtbl.replace by_key key e
-      | Some (_, leaf0, c0, i0, pv0) ->
-          let dup = "duplicate committed leaf (higher offset quarantined)" in
-          if leaf < leaf0 then begin
-            Hashtbl.replace by_key key e;
-            badq := (c0, i0, leaf0, Some key, pv0, dup) :: !badq
-          end
-          else badq := (chunk, idx, leaf, Some key, pv, dup) :: !badq)
-    !valid;
-  let kept_values = Hashtbl.create 256 in
-  Hashtbl.iter (fun _ (_, _, _, _, pv) -> Hashtbl.replace kept_values pv ()) by_key;
-  apply_quarantine alloc ~kept_values ~findings ~badq:!badq
-    ~stale_free:!stale_free;
-  Hashtbl.iter
-    (fun key (_, leaf, _, _, _) ->
-      let hash_key, art_key = split_key t key in
-      let art = find_or_create_art t hash_key in
-      match Art.insert art art_key leaf with
-      | `Inserted -> Atomic.incr t.count
-      | `Replaced _ -> assert false (* deduplicated above *))
-    by_key;
-  t
+  let results =
+    (try Ok (phase 0) with e -> Error e)
+    :: List.map (fun w -> try Ok (Domain.join w) with e -> Error e) workers
+  in
+  List.iter (function Ok () -> () | Error e -> raise e) results
 
-let recover ?(quarantine = false) pool =
-  if quarantine then recover_quarantine pool
-  else begin
-    let alloc = Epalloc.attach pool in
-    let t = make_recovered pool alloc (ref []) in
-    Epalloc.iter_live_objs alloc Chunk.Leaf_c (fun ~obj ->
-        let key = Leaf.key pool ~leaf:obj in
-        let hash_key, art_key = split_key t key in
-        let art = find_or_create_art t hash_key in
-        match Art.insert art art_key obj with
-        | `Inserted -> Atomic.incr t.count
-        | `Replaced _ -> duplicate_leaf_error alloc ~key ~obj);
-    t
-  end
+(* One hash key's slots, in scan order. *)
+type group = { hash_key : string; mutable slots : int array; mutable n : int }
 
-(* Parallel Algorithm 7. Log replay ([Epalloc.attach]) stays serial —
-   micro-log replay orders PM writes — but the rebuild that follows
-   performs only PM reads and touches no shared mutable state until the
-   final merge, so it fans out across domains:
+let push g s =
+  if g.n = Array.length g.slots then begin
+    let a = Array.make (2 * g.n) 0 in
+    Array.blit g.slots 0 a 0 g.n;
+    g.slots <- a
+  end;
+  g.slots.(g.n) <- s;
+  g.n <- g.n + 1
 
-   - phase 1 (scan): domain [me] of [d] scans its slice of the leaf
-     chunks, reads each live leaf's key, and appends
-     [(hash_key, art_key, leaf)] to the producer-local list
-     [work.(me).(p)] where [p = Hash_dir.hash hash_key mod d]. No two
-     domains ever write the same cell, so no locking.
-   - phase 2 (build): domain [p] drains column [p] of every producer and
-     builds one ART per hash key in a private table. Partitioning by the
-     directory hash makes partitions' hash-key sets disjoint: the whole
-     keyspace of one ART lands in exactly one partition, which is why
-     bucket rebuilds commute.
-   - merge: the (cheap) directory inserts and the count run serially on
-     the calling domain.
-
-   [Domain.join] gives the inter-phase happens-before. The rebuild
-   issues no flushes, so an armed crash ([Pmem.arm_crash]) can only fire
-   inside the serial attach — nested crash-during-recovery schedules
-   stay well-defined under the fault explorer. *)
 let recover_parallel ?domains ?(quarantine = false) pool =
   let d =
     match domains with
@@ -545,146 +499,143 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     | None -> Domain.recommended_domain_count ()
   in
   if d < 1 then invalid_arg "Hart.recover_parallel: domains must be >= 1";
-  if d = 1 then recover ~quarantine pool
-  else begin
-    (* Quarantine preamble runs serially before the fan-out: the media
-       scrub, the guarded attach, and the findings sink are shared
-       read-mostly state the workers must only consult. *)
-    let findings = ref [] in
-    let bad_span, alloc =
-      if not quarantine then ((fun _ _ -> false), Epalloc.attach pool)
-      else begin
-        let media = Pmem.media_verify pool in
-        let bad_lines = media.Pmem.corrupt_lines @ media.Pmem.poisoned_lines in
-        ( bad_span_of_lines bad_lines,
-          Epalloc.attach ~bad_lines
-            ~report:(fun f -> findings := f :: !findings)
-            pool )
-      end
+  (* A quarantining mount tolerates media faults: the media scrub runs
+     first, attach runs guarded (no replay of records on bad lines, no
+     eager slot repair), and every committed leaf is validated before
+     the index accepts it. *)
+  let findings = ref [] in
+  let bad_span, alloc =
+    if not quarantine then ((fun _ _ -> false), Epalloc.attach pool)
+    else begin
+      let media = Pmem.media_verify pool in
+      let bad_lines = media.Pmem.corrupt_lines @ media.Pmem.poisoned_lines in
+      ( bad_span_of_lines bad_lines,
+        Epalloc.attach ~bad_lines
+          ~report:(fun f -> findings := f :: !findings)
+          pool )
+    end
+  in
+  let checksums = Epalloc.checksums alloc in
+  let t = make_recovered pool alloc findings in
+  let chunks = ref [] in
+  Epalloc.iter_chunks alloc Chunk.Leaf_c (fun c -> chunks := c :: !chunks);
+  let chunks = Array.of_list (List.rev !chunks) in
+  let nc = Array.length chunks and opc = Chunk.objs_per_chunk in
+  let slots = nc * opc in
+  (* per slot: the accepted leaf (0: none), its split key, its directory
+     partition (only when [d > 1]) and value pointer (only when
+     quarantining) *)
+  let leaves = Array.make slots 0 in
+  let hash_keys = Array.make slots "" and art_keys = Array.make slots "" in
+  let part = Array.make (if d > 1 then slots else 0) 0 in
+  let pvs = Array.make (if quarantine then slots else 0) 0 in
+  let badq = Array.make d [] and stale_free = Array.make d [] in
+  let accept s leaf key =
+    let hash_key, art_key = split_key t key in
+    leaves.(s) <- leaf;
+    hash_keys.(s) <- hash_key;
+    art_keys.(s) <- art_key;
+    if d > 1 then part.(s) <- Hash_dir.hash hash_key mod d
+  in
+  let scan me =
+    for ci = nc * me / d to (nc * (me + 1) / d) - 1 do
+      let chunk = chunks.(ci) in
+      if not quarantine then
+        Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx ~obj ->
+            accept ((ci * opc) + idx) obj (Leaf.key pool ~leaf:obj))
+      else
+        for idx = 0 to opc - 1 do
+          let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
+          if Chunk.test_bit pool ~chunk ~idx then (
+            match inspect_leaf alloc ~checksums ~bad_span ~leaf with
+            | Leaf_ok { key; pv } ->
+                accept ((ci * opc) + idx) leaf key;
+                pvs.((ci * opc) + idx) <- pv
+            | Leaf_bad { key; pv; detail } ->
+                badq.(me) <- (chunk, idx, leaf, key, pv, detail) :: badq.(me))
+          else
+            match Leaf.p_value pool ~leaf with
+            | 0 -> ()
+            | pv -> stale_free.(me) <- (leaf, pv) :: stale_free.(me)
+            | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
+                (* unreadable pointer in a free slot: clear, free nothing *)
+                stale_free.(me) <- (leaf, 0) :: stale_free.(me)
+        done
+    done
+  in
+  run_phases d scan;
+  if quarantine then begin
+    (* Deterministic duplicate resolution — the lower leaf offset wins —
+       then every PM repair, serially. Verdict lists are in reverse scan
+       order and duplicates are met walking the slots backwards: the
+       order the repairs are issued in, the same for every [d]. *)
+    let rev_concat a = List.concat (List.rev (Array.to_list a)) in
+    let badq = ref (rev_concat badq) in
+    let excise s =
+      badq :=
+        ( chunks.(s / opc),
+          s mod opc,
+          leaves.(s),
+          Some (hash_keys.(s) ^ art_keys.(s)),
+          pvs.(s),
+          "duplicate committed leaf (higher offset quarantined)" )
+        :: !badq;
+      leaves.(s) <- 0
     in
-    let checksums = Epalloc.checksums alloc in
-    let t = make_recovered pool alloc findings in
-    let chunks = ref [] in
-    Epalloc.iter_chunks alloc Chunk.Leaf_c (fun c -> chunks := c :: !chunks);
-    let chunks = Array.of_list (List.rev !chunks) in
-    let nc = Array.length chunks in
-    let work = Array.init d (fun _ -> Array.init d (fun _ -> ref [])) in
-    let badq = Array.init d (fun _ -> ref []) in
-    let stale_free = Array.init d (fun _ -> ref []) in
-    (* phase 1 (scan): read-only — validation verdicts and repair
-       candidates are collected into producer-local cells; every PM
-       mutation (excision, value freeing) happens in the serial merge. *)
-    let scan me =
-      for ci = nc * me / d to (nc * (me + 1) / d) - 1 do
-        let chunk = chunks.(ci) in
-        if not quarantine then
-          Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ->
-              let key = Leaf.key pool ~leaf:obj in
-              let hash_key, art_key = split_key t key in
-              let cell = work.(me).(Hash_dir.hash hash_key mod d) in
-              cell := (hash_key, art_key, obj, chunk, 0, 0) :: !cell)
-        else
-          for idx = 0 to Chunk.objs_per_chunk - 1 do
-            let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-            if Chunk.test_bit pool ~chunk ~idx then (
-              match inspect_leaf alloc ~checksums ~bad_span ~leaf with
-              | Leaf_ok { key; pv } ->
-                  let hash_key, art_key = split_key t key in
-                  let cell = work.(me).(Hash_dir.hash hash_key mod d) in
-                  cell := (hash_key, art_key, leaf, chunk, idx, pv) :: !cell
-              | Leaf_bad { key; pv; detail } ->
-                  badq.(me) := (chunk, idx, leaf, key, pv, detail) :: !(badq.(me)))
-            else
-              match Leaf.p_value pool ~leaf with
-              | 0 -> ()
-              | pv -> stale_free.(me) := (leaf, pv) :: !(stale_free.(me))
-              | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
-                  stale_free.(me) := (leaf, 0) :: !(stale_free.(me))
-          done
-      done
-    in
-    let run_phase phase =
-      let workers =
-        Array.init (d - 1) (fun i -> Domain.spawn (fun () -> phase (i + 1)))
-      in
-      phase 0;
-      Array.iter Domain.join workers
-    in
-    run_phase scan;
-    (* serial quarantine merge: deduplicate (keep-lower-offset — an
-       order-independent rule, so serial and parallel recovery excise
-       identical leaves), then apply all PM mutations on this domain. *)
-    let dropped = Hashtbl.create 16 in
-    if quarantine then begin
-      let by_key = Hashtbl.create 256 in
-      let all_bad = ref [] and all_stale = ref [] in
-      Array.iter (fun r -> all_bad := !r @ !all_bad) badq;
-      Array.iter (fun r -> all_stale := !r @ !all_stale) stale_free;
-      Array.iter
-        (Array.iter (fun cell ->
-             List.iter
-               (fun (_, _, leaf, chunk, idx, pv) ->
-                 let key = Leaf.key pool ~leaf in
-                 match Hashtbl.find_opt by_key key with
-                 | None -> Hashtbl.replace by_key key (leaf, chunk, idx, pv)
-                 | Some (leaf0, c0, i0, pv0) ->
-                     let dup =
-                       "duplicate committed leaf (higher offset quarantined)"
-                     in
-                     if leaf < leaf0 then begin
-                       Hashtbl.replace by_key key (leaf, chunk, idx, pv);
-                       Hashtbl.replace dropped leaf0 ();
-                       all_bad := (c0, i0, leaf0, Some key, pv0, dup) :: !all_bad
-                     end
-                     else begin
-                       Hashtbl.replace dropped leaf ();
-                       all_bad :=
-                         (chunk, idx, leaf, Some key, pv, dup) :: !all_bad
-                     end)
-               !cell))
-        work;
-      let kept_values = Hashtbl.create 256 in
-      Hashtbl.iter
-        (fun _ (_, _, _, pv) -> Hashtbl.replace kept_values pv ())
-        by_key;
-      apply_quarantine alloc ~kept_values ~findings ~badq:!all_bad
-        ~stale_free:!all_stale
-    end;
-    let built = Array.make d [] in
-    let counts = Array.make d 0 in
-    let build p =
-      let tbl = Hashtbl.create 64 in
-      let cnt = ref 0 in
-      for prod = 0 to d - 1 do
-        List.iter
-          (fun (hash_key, art_key, obj, _, _, _) ->
-            if not (Hashtbl.mem dropped obj) then begin
-              let art =
-                match Hashtbl.find_opt tbl hash_key with
-                | Some a -> a
-                | None ->
-                    let a = new_art t in
-                    Hashtbl.add tbl hash_key a;
-                    a
-              in
-              match Art.insert art art_key obj with
-              | `Inserted -> incr cnt
-              | `Replaced _ ->
-                  duplicate_leaf_error alloc ~key:(hash_key ^ art_key) ~obj
-            end)
-          !(work.(prod).(p))
-      done;
-      built.(p) <- Hashtbl.fold (fun hk art acc -> (hk, art) :: acc) tbl [];
-      counts.(p) <- !cnt
-    in
-    run_phase build;
-    Array.iter
-      (fun parts ->
-        List.iter (fun (hk, art) -> Hash_dir.insert t.dir hk art) parts)
-      built;
-    Atomic.set t.count (Array.fold_left ( + ) 0 counts);
-    t
-  end
+    let by_key = Hashtbl.create nc in
+    for s = slots - 1 downto 0 do
+      if leaves.(s) <> 0 then
+        let key = hash_keys.(s) ^ art_keys.(s) in
+        match Hashtbl.find_opt by_key key with
+        | None -> Hashtbl.replace by_key key s
+        | Some s0 when leaves.(s) < leaves.(s0) ->
+            Hashtbl.replace by_key key s;
+            excise s0
+        | Some _ -> excise s
+    done;
+    let kept_values = Hashtbl.create nc in
+    Hashtbl.iter (fun _ s -> Hashtbl.replace kept_values pvs.(s) ()) by_key;
+    apply_quarantine alloc ~kept_values ~findings ~badq:!badq
+      ~stale_free:(rev_concat stale_free)
+  end;
+  let built = Array.make d [] in
+  let build p =
+    let groups = Hashtbl.create (nc / d) and seen = ref [] in
+    for s = 0 to slots - 1 do
+      if leaves.(s) <> 0 && (d = 1 || part.(s) = p) then
+        match Hashtbl.find_opt groups hash_keys.(s) with
+        | Some g -> push g s
+        | None ->
+            let g = { hash_key = hash_keys.(s); slots = [| s |]; n = 1 } in
+            Hashtbl.add groups g.hash_key g;
+            seen := g :: !seen
+    done;
+    built.(p) <-
+      List.rev_map
+        (fun g ->
+          let art = new_art t in
+          for i = 0 to g.n - 1 do
+            let s = g.slots.(i) in
+            match Art.insert art art_keys.(s) leaves.(s) with
+            | `Inserted -> ()
+            | `Replaced _ ->
+                duplicate_leaf_error alloc
+                  ~key:(g.hash_key ^ art_keys.(s))
+                  ~obj:leaves.(s)
+          done;
+          (g, art))
+        !seen
+  in
+  run_phases d build;
+  let first (g, _) = g.slots.(0) in
+  List.concat (Array.to_list built)
+  |> List.stable_sort (fun a b -> Int.compare (first a) (first b))
+  |> List.iter (fun (g, art) ->
+         Hash_dir.insert t.dir g.hash_key art;
+         ignore (Atomic.fetch_and_add t.count g.n : int));
+  t
+
+let recover ?quarantine pool = recover_parallel ~domains:1 ?quarantine pool
 
 (* ------------------------------------------------------------------ *)
 (* Accounting and integrity                                            *)

@@ -48,7 +48,11 @@ val create :
 val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
 (** Algorithm 7: adopt a pool after a crash or reboot — replay
     micro-logs, then rebuild the hash table and every ART internal node
-    by scanning the leaf chunk list.
+    from the leaf chunk list. The rebuild scans the chunks in chain
+    order, groups the live leaves by hash key (scan order within a
+    group) and builds each ART in one pass before installing it in the
+    directory once, in first-seen order. It is
+    [recover_parallel ~domains:1]: one domain, none spawned.
 
     With [~quarantine:true] the mount tolerates media faults: the
     pool's media scrub ({!Hart_pmem.Pmem.media_verify}) runs first, log
@@ -56,7 +60,7 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     instead of replayed, every committed leaf is validated (media lines,
     key length, CRCs, value resolution and commitment) before the index
     accepts it, and duplicate keys resolve deterministically (lower leaf
-    offset wins).
+    offset wins). The surviving leaves feed the same rebuild.
     Everything excised is reported in {!quarantines}; value objects of
     excised leaves are freed only when provably unshared (a corrupt
     pointer may alias a live key's value). Without [quarantine] (the
@@ -64,24 +68,20 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     and raises on anomalies.
 
     @raise Hart_error.Error on an unmountable pool (bad root block,
-    corrupt chunk chain, duplicate leaf in non-quarantine mode). *)
+    corrupt chunk chain, duplicate leaf in non-quarantine mode — named
+    at the later leaf in chain-scan order). *)
 
 val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
-(** Parallel Algorithm 7: micro-log replay stays serial, then the
-    directory/ART rebuild fans the leaf-chunk scan and the per-bucket
-    ART construction across [domains] [Domain.spawn] workers (default
-    [Domain.recommended_domain_count ()]). Buckets are rebuilt
-    independently — the directory hash partitions the hash-key space, so
-    each ART is built wholly by one worker — and the result is
-    observationally identical to {!recover}. [~domains:1] is exactly
-    serial {!recover}.
-
-    [~quarantine:true] composes with the fan-out: workers perform the
-    (read-only) per-leaf validation in the scan phase, and all
-    quarantine PM mutations are applied in a serial merge before the
-    build phase. The keep-lower-offset duplicate rule is
-    order-independent, so parallel and serial quarantining recovery
-    excise identical leaves.
+(** {!recover} with the rebuild fanned across [domains] (default
+    [Domain.recommended_domain_count ()]): micro-log replay and the
+    quarantine repairs stay serial; each domain scans a contiguous slice
+    of the leaf chunk chain, then builds the ARTs of one directory-hash
+    partition. Partitions own disjoint hash keys, so every ART still
+    receives its leaves in global chain-scan order, and the directory
+    is installed in the same first-seen order: the result is the same
+    store for every [domains], [1] included. Quarantine validation runs
+    in the scan workers; the keep-lower-offset duplicate rule does not
+    depend on [domains], so every count excises the same leaves.
     @raise Invalid_argument if [domains < 1]. *)
 
 val quarantines : t -> Hart_error.finding list

@@ -71,7 +71,9 @@ let run ~scale =
    which is reported next to them. Each domain count recovers its own
    [Pmem.clone] of the same crashed pool, so every run rebuilds from an
    identical durable image; the result is verified against the build
-   (count, spot contents) every time.                                   *)
+   (count, spot contents) every time. [Epalloc.attach] — log replay, the
+   serial prefix of every recovery — is timed alone on one more clone,
+   so the share no domain count can speed up is visible.              *)
 
 module Json = Report.Json
 
@@ -88,6 +90,7 @@ let pool_for ~n_keys =
 
 type parallel_row = {
   pr_keys : int;
+  pr_attach : float;  (* wall seconds of [Epalloc.attach] alone *)
   pr_secs : (int * float) list;  (* domains -> wall seconds *)
 }
 
@@ -116,6 +119,12 @@ let run_parallel ?json_path ?threshold ~scale () =
           (fun i key -> Hart.insert h ~key ~value:(Keygen.value_for i))
           keys;
         Pmem.crash pool;
+        let attach =
+          let p = Pmem.clone pool in
+          let t0 = Unix.gettimeofday () in
+          ignore (Hart_core.Epalloc.attach p : Hart_core.Epalloc.t);
+          Unix.gettimeofday () -. t0
+        in
         let secs =
           List.map
             (fun d ->
@@ -145,7 +154,7 @@ let run_parallel ?json_path ?threshold ~scale () =
               (d, dt))
             parallel_domain_counts
         in
-        { pr_keys = n; pr_secs = secs })
+        { pr_keys = n; pr_attach = attach; pr_secs = secs })
       sizes
   in
   Report.print_table
@@ -153,12 +162,13 @@ let run_parallel ?json_path ?threshold ~scale () =
       (Printf.sprintf
          "Parallel recovery wall time (s) vs pool size -- host cores=%d" host)
     ~col_names:
-      (List.map (fun d -> Printf.sprintf "%dd" d) parallel_domain_counts)
+      ("attach"
+      :: List.map (fun d -> Printf.sprintf "%dd" d) parallel_domain_counts)
     ~rows:
       (List.map
          (fun r ->
            ( Printf.sprintf "%dk keys" (r.pr_keys / 1000),
-             List.map snd r.pr_secs ))
+             r.pr_attach :: List.map snd r.pr_secs ))
          rows);
   Report.print_table
     ~title:"Parallel recovery speedup vs 1 domain"
@@ -223,6 +233,7 @@ let run_parallel ?json_path ?threshold ~scale () =
                      Json.Obj
                        [
                          ("keys", Json.Int r.pr_keys);
+                         ("attach_s", Json.Float r.pr_attach);
                          ( "wall_s",
                            Json.List
                              (List.map

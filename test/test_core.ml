@@ -11,6 +11,7 @@ module Microlog = Hart_core.Microlog
 module Hash_dir = Hart_core.Hash_dir
 module Hart = Hart_core.Hart
 module Hart_mt = Hart_core.Hart_mt
+module Keygen = Hart_workloads.Keygen
 module Art = Hart_art.Art
 module Rwlock = Hart_core.Rwlock
 module SMap = Map.Make (String)
@@ -1170,43 +1171,98 @@ let test_double_recovery () =
   Hart.check_integrity h2
 
 (* ------------------------------------------------------------------ *)
-(* Parallel recovery: recover_parallel ~domains:d must be
-   observationally identical to serial recover — same bindings, same
-   structural stats, same integrity — on every pool shape.             *)
+(* Recovery equivalence: every mount of a crashed image — serial,
+   quarantining, 1-4 domains, the Hart_mt restart — must rebuild the
+   store a per-leaf reference rebuild produces, ART by ART.             *)
 
 let dump_hart h =
   let m = ref SMap.empty in
   Hart.iter h (fun k v -> m := SMap.add k v !m);
   SMap.bindings !m
 
-(* [pool] must already be crashed; every domain count recovers its own
-   clone of the same durable image. *)
-let check_parallel_equiv ?(domain_counts = [ 1; 2; 3; 4 ]) pool =
-  let serial = Hart.recover (Pmem.clone pool) in
-  Hart.check_integrity ~allow_recovered_orphans:true serial;
-  let s_dump = dump_hart serial in
-  let s_stats = Hart_core.Hart_stats.collect serial in
+(* The reference, built from public calls only: attach its own clone,
+   then insert every live leaf in chunk-chain scan order into one ART
+   per hash key. Returns the ARTs by hash key and the sorted bindings. *)
+let reference_rebuild pool =
+  let pool = Pmem.clone pool in
+  let alloc = Epalloc.attach pool in
+  let kh = Epalloc.kh alloc in
+  let arts = Hashtbl.create 64 and bindings = ref SMap.empty in
+  Epalloc.iter_live_objs alloc Chunk.Leaf_c (fun ~obj ->
+      let key = Leaf.key pool ~leaf:obj in
+      let n = String.length key in
+      let hk, ak =
+        if n <= kh then (key, "") else (String.sub key 0 kh, String.sub key kh (n - kh))
+      in
+      let art =
+        match Hashtbl.find_opt arts hk with
+        | Some a -> a
+        | None ->
+            let a = Art.create () in
+            Hashtbl.add arts hk a;
+            a
+      in
+      (match Art.insert art ak obj with
+      | `Inserted -> ()
+      | `Replaced _ -> Alcotest.failf "reference: duplicate leaf for %S" key);
+      let v = Value_obj.read pool ~obj:(Leaf.p_value pool ~leaf:obj) in
+      bindings := SMap.add key v !bindings);
+  (arts, SMap.bindings !bindings)
+
+let recovery_mounts =
+  [
+    ("recover", fun p -> Hart.recover p);
+    ("recover ~quarantine", fun p -> Hart.recover ~quarantine:true p);
+    ("Hart_mt restart", fun p -> Hart_mt.underlying (Hart_mt.recover p));
+  ]
+  @ List.concat_map
+      (fun d ->
+        [
+          (Printf.sprintf "%d domain(s)" d, fun p -> Hart.recover_parallel ~domains:d p);
+          ( Printf.sprintf "%d domain(s), quarantining" d,
+            fun p -> Hart.recover_parallel ~domains:d ~quarantine:true p );
+        ])
+      [ 1; 2; 3; 4 ]
+
+(* [pool] must already be crashed; every mount recovers its own clone of
+   the same durable image. Each ART must match the reference's ART of
+   its hash key, and [Hart_stats] must agree across all mounts. An
+   insert-only ART's shape does not depend on its insertion order;
+   [test_recover_duplicate_in_scan_order] pins that order. *)
+let check_recovery_equiv pool =
+  let ref_arts, ref_bindings = reference_rebuild pool in
+  let stats = ref None in
   List.iter
-    (fun d ->
-      let par = Hart.recover_parallel ~domains:d (Pmem.clone pool) in
-      Hart.check_integrity ~allow_recovered_orphans:true par;
+    (fun (name, mount) ->
+      let h = mount (Pmem.clone pool) in
+      Hart.check_integrity ~allow_recovered_orphans:true h;
+      Alcotest.(check int) (name ^ ": count") (List.length ref_bindings) (Hart.count h);
       Alcotest.(check int)
-        (Printf.sprintf "count at %d domain(s)" d)
-        (Hart.count serial) (Hart.count par);
-      Alcotest.(check int)
-        (Printf.sprintf "art count at %d domain(s)" d)
-        (Hart.art_count serial) (Hart.art_count par);
-      if dump_hart par <> s_dump then
-        Alcotest.failf "contents diverge from serial at %d domain(s)" d;
-      if Hart_core.Hart_stats.collect par <> s_stats then
-        Alcotest.failf "structural stats diverge from serial at %d domain(s)" d)
-    domain_counts
+        (name ^ ": art count") (Hashtbl.length ref_arts) (Hart.art_count h);
+      if dump_hart h <> ref_bindings then
+        Alcotest.failf "%s: bindings diverge from the reference" name;
+      if Hart.quarantines h <> [] then
+        Alcotest.failf "%s: clean image produced quarantine findings" name;
+      Hart.iter_arts h (fun hk art ->
+          match Hashtbl.find_opt ref_arts hk with
+          | None -> Alcotest.failf "%s: ART %S missing from the reference" name hk
+          | Some r ->
+              if Art.node_histogram art <> Art.node_histogram r then
+                Alcotest.failf "%s: node histogram of ART %S diverges" name hk;
+              if Art.pool_stats art <> Art.pool_stats r then
+                Alcotest.failf "%s: pool stats of ART %S diverge" name hk);
+      let s = Hart_core.Hart_stats.collect h in
+      match !stats with
+      | None -> stats := Some s
+      | Some s0 ->
+          if s <> s0 then Alcotest.failf "%s: structural stats diverge" name)
+    recovery_mounts
 
 let test_parallel_recover_empty () =
   let h, pool = fresh_hart () in
   ignore h;
   Pmem.crash pool;
-  check_parallel_equiv pool;
+  check_recovery_equiv pool;
   Alcotest.(check int) "still empty" 0
     (Hart.count (Hart.recover_parallel ~domains:4 (Pmem.clone pool)))
 
@@ -1251,7 +1307,7 @@ let test_parallel_recover_mixed () =
           : bool)
   done;
   Pmem.crash pool;
-  check_parallel_equiv pool
+  check_recovery_equiv pool
 
 let test_parallel_recover_churned () =
   (* waves of insert-everything / delete-everything cycle whole chunks
@@ -1268,7 +1324,7 @@ let test_parallel_recover_churned () =
       done
   done;
   Pmem.crash pool;
-  check_parallel_equiv pool
+  check_recovery_equiv pool
 
 let test_parallel_recover_short_keys () =
   (* keys at and below the hash-key length: empty ART keys, and a
@@ -1285,7 +1341,7 @@ let test_parallel_recover_short_keys () =
   Pmem.crash pool;
   let r = Hart.recover_parallel ~domains:3 (Pmem.clone pool) in
   Alcotest.(check int) "kh read from pool" 3 (Hart.kh r);
-  check_parallel_equiv pool
+  check_recovery_equiv pool
 
 let test_parallel_recover_pending_log () =
   (* a crash mid-update leaves a pending micro-log; its serial replay
@@ -1298,7 +1354,7 @@ let test_parallel_recover_pending_log () =
   (try ignore (Hart.update h ~key:"pl0100" ~value:"NEW" : bool)
    with Pmem.Crash_injected -> ());
   Pmem.disarm_crash pool;
-  check_parallel_equiv pool
+  check_recovery_equiv pool
 
 let test_parallel_recover_validation () =
   let h, pool = fresh_hart () in
@@ -1394,10 +1450,11 @@ let test_attach_registry_out_of_order () =
   Pmem.crash pool;
   check_registry_recovery live pool
 
-let test_attach_registry_pending_recycle () =
-  let h, pool, live = churned_registry_pool () in
-  (* drain a mid-list leaf chunk down to one key, so deleting that key
-     unlinks the chunk under the recycle log *)
+(* Drain a mid-list leaf chunk of [h] down to one key and crash; then
+   recover a clone, delete that last key — which unlinks the chunk under
+   the recycle log — and crash at the latest flush that leaves the log
+   pending. Returns that image and the keys deleted on the way. *)
+let pending_recycle_image h pool =
   let chunk = List.nth (chunk_list (Hart.alloc h) Chunk.Leaf_c) 1 in
   let keys = ref [] in
   Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ->
@@ -1408,9 +1465,7 @@ let test_attach_registry_pending_recycle () =
     | [] -> Alcotest.fail "mid-list chunk is empty"
   in
   List.iter
-    (fun k ->
-      if not (Hart.delete h k) then Alcotest.failf "%s not drained" k;
-      Hashtbl.remove live k)
+    (fun k -> if not (Hart.delete h k) then Alcotest.failf "%s not drained" k)
     drain;
   Pmem.crash pool;
   let delete_last h =
@@ -1419,7 +1474,6 @@ let test_attach_registry_pending_recycle () =
     Pmem.flush_count (Hart.pool h) - f0
   in
   let flushes = delete_last (Hart.recover (Pmem.clone pool)) in
-  Hashtbl.remove live last;
   (* latest crash point first: the log is pending until its final reclaim *)
   let rec crash_pending k =
     if k < 0 then Alcotest.fail "no crash point leaves the recycle log pending";
@@ -1434,8 +1488,109 @@ let test_attach_registry_pending_recycle () =
       (fun ~slot:_ -> pending := true);
     if !pending then p else crash_pending (k - 1)
   in
-  check_registry_recovery ~allow_recovered_orphans:true live
-    (crash_pending (flushes - 1))
+  (crash_pending (flushes - 1), last :: drain)
+
+let test_attach_registry_pending_recycle () =
+  let h, pool, live = churned_registry_pool () in
+  let image, removed = pending_recycle_image h pool in
+  List.iter (Hashtbl.remove live) removed;
+  check_registry_recovery ~allow_recovered_orphans:true live image
+
+(* Grouping extremes: the rebuild groups leaves by hash key, so cover a
+   single ART spanning many chunks, ARTs of one key each, ARTs whose
+   only key is the hash key itself, and a mount that replays a pending
+   recycle log. *)
+let test_recover_one_art_many_chunks () =
+  let h, pool = fresh_hart () in
+  let key i = Printf.sprintf "zz%06d" i in
+  (* a permuted insert order, so scan order differs from key order *)
+  for i = 0 to 2999 do
+    Hart.insert h ~key:(key (i * 7919 mod 3000)) ~value:(string_of_int i)
+  done;
+  for i = 0 to 2999 do
+    if i mod 7 = 0 then ignore (Hart.delete h (key i) : bool)
+  done;
+  Pmem.crash pool;
+  Alcotest.(check int) "one ART" 1 (Hart.art_count (Hart.recover (Pmem.clone pool)));
+  Alcotest.(check bool) "dozens of leaf chunks" true
+    (List.length (chunk_list (Hart.alloc h) Chunk.Leaf_c) >= 40);
+  check_recovery_equiv pool
+
+let test_recover_one_key_arts () =
+  let h, pool = fresh_hart ~kh:4 () in
+  let keys = Keygen.generate Keygen.Random 1500 in
+  Array.iteri (fun i key -> Hart.insert h ~key ~value:(Keygen.value_for i)) keys;
+  Pmem.crash pool;
+  let r = Hart.recover (Pmem.clone pool) in
+  Alcotest.(check bool) "most ARTs hold one key" true
+    (2 * Hart.art_count r > Hart.count r + Hart.art_count r / 2);
+  check_recovery_equiv pool
+
+let test_recover_keys_within_kh () =
+  let h, pool = fresh_hart ~kh:4 () in
+  (* every string of 1-4 letters over a..f: all ART keys are empty *)
+  let rec strings len =
+    if len = 0 then [ "" ]
+    else
+      List.concat_map
+        (fun s -> List.init 6 (fun c -> s ^ String.make 1 (Char.chr (97 + c))))
+        (strings (len - 1))
+  in
+  let keys = List.concat_map strings [ 1; 2; 3; 4 ] in
+  List.iteri (fun i key -> Hart.insert h ~key ~value:(string_of_int i)) keys;
+  List.iteri (fun i key -> if i mod 5 = 0 then ignore (Hart.delete h key : bool)) keys;
+  Pmem.crash pool;
+  let r = Hart.recover (Pmem.clone pool) in
+  Alcotest.(check int) "one key per ART" (Hart.count r) (Hart.art_count r);
+  check_recovery_equiv pool
+
+(* Structure alone cannot show insertion order: an insert-only ART's
+   shape and pool stats are the same for every order of its keys. A
+   duplicate committed leaf can: the mount raises at the second leaf of
+   the pair it meets, so it must name the later leaf in chain-scan order
+   at every domain count — for a pair inside one chunk (one scan slice
+   at every domain count) and for a pair across the chain. *)
+let test_recover_duplicate_in_scan_order () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 299 do
+    Hart.insert h ~key:(Printf.sprintf "dd%04d" (i * 7 mod 300)) ~value:"v"
+  done;
+  let live_leaves chunk =
+    let l = ref [] in
+    Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj -> l := obj :: !l);
+    List.rev !l
+  in
+  let chunks = chunk_list (Hart.alloc h) Chunk.Leaf_c in
+  let head = live_leaves (List.hd chunks) in
+  let first = List.hd head in
+  let last_of l = List.hd (List.rev l) in
+  List.iter
+    (fun (what, later) ->
+      let img = Pmem.clone pool in
+      Leaf.write_key img ~leaf:later (Leaf.key img ~leaf:first);
+      Pmem.persist img ~off:later ~len:Leaf.size;
+      Pmem.crash img;
+      List.iter
+        (fun d ->
+          match Hart.recover_parallel ~domains:d (Pmem.clone img) with
+          | (_ : Hart.t) -> Alcotest.failf "%s: duplicate mounted at %d domain(s)" what d
+          | exception Hart_error.Error { site = Leaf_slot { leaf; _ }; _ } ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: later leaf named at %d domain(s)" what d)
+                later leaf)
+        [ 1; 2; 3; 4 ])
+    [
+      ("within a chunk", last_of head);
+      ("across the chain", last_of (live_leaves (last_of chunks)));
+    ]
+
+let test_recover_pending_recycle () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 899 do
+    Hart.insert h ~key:(registry_key i) ~value:(registry_value i)
+  done;
+  let image, _ = pending_recycle_image h pool in
+  check_recovery_equiv image
 
 (* ------------------------------------------------------------------ *)
 (* Rwlock and Hart_mt                                                  *)
@@ -2192,6 +2347,13 @@ let () =
             test_attach_registry_out_of_order;
           Alcotest.test_case "registry with pending recycle replay" `Quick
             test_attach_registry_pending_recycle;
+          Alcotest.test_case "one ART over many chunks" `Quick
+            test_recover_one_art_many_chunks;
+          Alcotest.test_case "kh=4, one-key ARTs" `Quick test_recover_one_key_arts;
+          Alcotest.test_case "keys within kh" `Quick test_recover_keys_within_kh;
+          Alcotest.test_case "pending recycle log" `Quick test_recover_pending_recycle;
+          Alcotest.test_case "duplicate leaf named in scan order" `Quick
+            test_recover_duplicate_in_scan_order;
         ] );
       ( "recover-roundtrip",
         [
