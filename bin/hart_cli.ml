@@ -576,9 +576,42 @@ let scrub_cmd =
       "Online integrity pass: fsck without the deep checksum walk — the \
        cheap scan a store would run periodically."
 
+module Explore = Hart_fault.Explore
+module Fault = Hart_fault.Fault
+module Fault_mt = Hart_fault.Fault_mt
+module Fault_server = Hart_fault.Fault_server
+
+(* One sweep of [hart_cli fault]: a case, the crash mode and directed
+   flag of one pass, and how to shrink its workload (concurrent and
+   clean-session server sweeps only). *)
+type fault_job = {
+  case : Explore.case;
+  mode : Pmem.crash_mode;
+  directed : bool;
+  shrink : (unit -> Explore.shrunk option) option;
+}
+
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
+
+(* the violations JSON (an empty sweep writes []), then the verdict *)
+let verdict ?json_out ~clean ~what vs =
+  Option.iter (fun path -> write_file path (Explore.violation_list_json vs)) json_out;
+  match vs with
+  | [] ->
+      print_endline clean;
+      Ok ()
+  | vs ->
+      List.iter
+        (fun v -> Printf.eprintf "violation: %s\n" (Explore.violation_message v))
+        vs;
+      Error (Printf.sprintf "%d %s" (List.length vs) what)
+
 let fault_cmd =
   let workload =
-    let all = List.map (fun (n, _, _) -> n) Hart_fault.Fault.builtin_workloads in
+    let all = List.map (fun (n, _, _) -> n) Fault.builtin_workloads in
     let doc =
       Printf.sprintf
         "Workload to sweep (one of %s); omit to run the full gate."
@@ -589,8 +622,8 @@ let fault_cmd =
   let target =
     let all =
       List.map
-        (fun t -> t.Hart_fault.Fault.target_name)
-        Hart_fault.Fault.all_targets
+        (fun t -> t.Fault.target_name)
+        Fault.all_targets
     in
     Arg.(
       value
@@ -667,8 +700,8 @@ let fault_cmd =
   let index =
     let all =
       List.map
-        (fun t -> t.Hart_fault.Fault_mt.mt_name)
-        Hart_fault.Fault_mt.all_mt_targets
+        (fun t -> t.Fault_mt.mt_name)
+        Fault_mt.all_mt_targets
     in
     Arg.(
       value & opt string "hart"
@@ -693,12 +726,12 @@ let fault_cmd =
       value & flag
       & info [ "shrink" ]
           ~doc:
-            "With $(b,--domains) > 1, delta-debug any violating workload \
-             to a locally minimal reproducer (fewer domains, ops, keys; \
-             canonical seed), re-verifying each candidate by \
-             deterministic replay, and attach the shrunk (seed, \
-             schedule, workload) coordinates to the violation (implies \
-             $(b,--keep-going) for the concurrent sweep).")
+            "With $(b,--domains) > 1 or $(b,--server), delta-debug any \
+             violating workload to a locally minimal reproducer (fewer \
+             domains or sessions, ops, keys; canonical seed), \
+             re-verifying each candidate by deterministic replay, and \
+             attach the shrunk (seed, schedule, workload) coordinates to \
+             the violation. Implies $(b,--keep-going).")
   in
   let mt_workload =
     Arg.(
@@ -709,8 +742,10 @@ let fault_cmd =
              (disjoint per-domain prefixes), $(b,collide) (scripted \
              same-stripe collisions), $(b,split-race) (one FPTree leaf \
              driven past capacity so splits race fresh writers; pair \
-             with $(b,--index fptree)), or $(b,gen) (seeded random op \
-             mix, swept over $(b,--gen-seeds) seeds).")
+             with $(b,--index fptree)), $(b,gen) (seeded random op \
+             mix, swept over $(b,--gen-seeds) seeds), or one generated \
+             workload by the name a $(b,gen) sweep reports, \
+             $(b,mt-gen#)$(i,S).")
   in
   let server =
     Arg.(
@@ -758,9 +793,8 @@ let fault_cmd =
       & opt (some int) None
       & info [ "max-schedules" ] ~docv:"M"
           ~doc:
-            "Evenly subsample the $(b,--domains) sweep to at most \
-             $(docv) crash schedules (CI budget); omit for the \
-             exhaustive sweep.")
+            "Evenly subsample each sweep to at most $(docv) crash \
+             schedules (CI budget); omit for the exhaustive sweep.")
   in
   let media_faults =
     Arg.(
@@ -786,356 +820,217 @@ let fault_cmd =
              sweep reports as JSON to $(docv) (FAULT_media.json \
              format).")
   in
+  let replay =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "replay" ] ~docv:"SCHEDULE"
+          ~doc:
+            "Instead of sweeping, replay crash schedule $(docv) of every \
+             sweep the other options select, and print its coordinates: \
+             committed, in-flight, waiting and recovered bindings, plus \
+             the state after each re-crashed recovery when nested sweeps \
+             are on. With $(b,--shrink), also delta-debug the workload \
+             and print the minimal reproducer.")
+  in
   let run workload target torn adversarial json_out no_nested checkpoint_every
       keep_going domains index nested_mt shrink mt_workload gen_seeds seed
-      max_schedules media_faults media_json server clients =
+      max_schedules media_faults media_json server clients replay =
+    let find what lookup name =
+      match lookup name with
+      | Some x -> x
+      | None -> failwith (Printf.sprintf "unknown %s %S" what name)
+    in
+    let pick what all lookup = function
+      | None -> all
+      | Some name -> [ find what lookup name ]
+    in
+    let torn_mode =
+      Option.map (fun seed -> Pmem.Torn { seed; fraction = 0.5 }) torn
+    in
+    let mode = Option.value torn_mode ~default:Pmem.Clean in
+    let job ?(directed = false) ?shrink mode case =
+      { case; mode; directed; shrink }
+    in
     ok_or_die
       (try
-         if server then begin
-           if clients < 1 || clients > 4 then
-             failwith "--clients supports 1-4 simulated sessions";
-           let keep_going = keep_going || shrink in
-           let modes =
-             match torn with
-             | None -> [ Hart_pmem.Pmem.Clean ]
-             | Some tseed ->
-                 [
-                   Hart_pmem.Pmem.Clean;
-                   Hart_pmem.Pmem.Torn { seed = tseed; fraction = 0.5 };
-                 ]
-           in
-           let workloads =
-             let setup, scripts =
-               Hart_fault.Fault_server.default_workload ~clients
-                 ~ops_per_client:28
-             in
-             let dsetup, dscripts, drops =
-               Hart_fault.Fault_server.drop_workload ~clients
-                 ~ops_per_client:28
-             in
-             [
-               ("srv-default", setup, scripts, None);
-               ("srv-drop", dsetup, dscripts, Some drops);
-             ]
-           in
-           let reports =
-             List.concat_map
-               (fun mode ->
-                 List.map
-                   (fun (name, setup, scripts, drops) ->
-                     let r =
-                       Hart_fault.Fault_server.explore ~mode ~keep_going
-                         ?max_schedules ?drops ~seed ~clients ~workload:name
-                         ~setup scripts
-                     in
-                     Format.printf "%a@." Hart_fault.Fault_server.pp_report r;
-                     if
-                       shrink && drops = None
-                       && r.Hart_fault.Fault_server.violations <> []
-                     then begin
-                       match
-                         Hart_fault.Fault_server.shrink ~mode ~seed ~setup
-                           scripts
-                       with
-                       | None ->
-                           Format.printf
-                             "shrink: violation did not reproduce under \
-                              replay@.";
-                           r
-                       | Some s ->
-                           Format.printf
-                             "shrink: %d candidate replays, %d accepted@.%a@."
-                             s.Hart_fault.Fault_mt.s_checks
-                             s.Hart_fault.Fault_mt.s_accepted
-                             Hart_fault.Fault.pp_repro
-                             s.Hart_fault.Fault_mt.s_repro;
-                           {
-                             r with
-                             Hart_fault.Fault_server.violations =
-                               List.map
-                                 (fun v ->
-                                   {
-                                     v with
-                                     Hart_fault.Fault.v_repro =
-                                       Some s.Hart_fault.Fault_mt.s_repro;
-                                   })
-                                 r.Hart_fault.Fault_server.violations;
-                           }
-                     end
-                     else r)
-                   workloads)
-               modes
-           in
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault_server.violations)
-               reports
-           in
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.violation_list_json vs);
-               close_out oc);
-           match vs with
-           | [] ->
-               print_endline "all server crash schedules consistent";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error
-                 (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-         end
-         else if domains > 1 then begin
-           if domains > 4 then failwith "--domains supports 2-4 simulated domains";
-           let mode =
-             match torn with
-             | None -> Hart_pmem.Pmem.Clean
-             | Some seed -> Hart_pmem.Pmem.Torn { seed; fraction = 0.5 }
-           in
-           let mt_target =
-             match Hart_fault.Fault_mt.find_mt_target index with
-             | Some t -> t
-             | None -> failwith (Printf.sprintf "unknown concurrent index %S" index)
-           in
-           let workloads =
-             match mt_workload with
-             | "default" ->
-                 [
-                   ( "mt-default",
-                     Hart_fault.Fault_mt.default_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "collide" ->
-                 [
-                   ( "mt-collide",
-                     Hart_fault.Fault_mt.collide_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "split-race" ->
-                 [
-                   ( "mt-split-race",
-                     Hart_fault.Fault_mt.split_race_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "gen" ->
-                 List.init (max 1 gen_seeds) (fun k ->
-                     let s = Int64.add seed (Int64.of_int k) in
-                     ( Printf.sprintf "mt-gen#%Ld" s,
-                       Hart_fault.Fault_mt.gen_workload ~seed:s ~domains
-                         ~ops_per_domain:6 ))
-             | w ->
-                 failwith
-                   (Printf.sprintf
-                      "unknown --mt-workload %S (default, collide, \
-                       split-race, gen)" w)
-           in
-           let keep_going = keep_going || shrink in
-           let reports =
-             List.map
-               (fun (name, (setup, scripts)) ->
-                 let r =
-                   Hart_fault.Fault_mt.explore ~target:mt_target ~mode
-                     ~keep_going ~nested:nested_mt ?max_schedules
-                     ?checkpoint_every ~seed ~domains ~workload:name ~setup
-                     scripts
-                 in
-                 Format.printf "%a@." Hart_fault.Fault_mt.pp_report r;
-                 let r =
-                   if shrink && r.Hart_fault.Fault_mt.violations <> [] then begin
-                     match
-                       Hart_fault.Fault_mt.shrink ~target:mt_target ~mode
-                         ?checkpoint_every ~seed ~setup scripts
-                     with
-                     | None ->
-                         Format.printf
-                           "shrink: violation did not reproduce under \
-                            replay@.";
-                         r
-                     | Some s ->
-                         Format.printf
-                           "shrink: %d candidate replays, %d accepted@.%a@."
-                           s.Hart_fault.Fault_mt.s_checks
-                           s.Hart_fault.Fault_mt.s_accepted
-                           Hart_fault.Fault.pp_repro
-                           s.Hart_fault.Fault_mt.s_repro;
-                         {
-                           r with
-                           Hart_fault.Fault_mt.violations =
-                             List.map
-                               (fun v ->
-                                 {
-                                   v with
-                                   Hart_fault.Fault.v_repro =
-                                     Some s.Hart_fault.Fault_mt.s_repro;
-                                 })
-                               r.Hart_fault.Fault_mt.violations;
-                         }
-                   end
-                   else r
-                 in
-                 r)
-               workloads
-           in
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault_mt.violations)
-               reports
-           in
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.violation_list_json vs);
-               close_out oc);
-           match vs with
-           | [] ->
-               print_endline "all concurrent crash schedules consistent";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-         end
-         else if media_faults > 0 then begin
-           let targets =
-             match target with
-             | None -> Hart_fault.Fault.media_targets
-             | Some n -> (
-                 match Hart_fault.Fault.find_target n with
-                 | Some t -> [ t ]
-                 | None -> failwith (Printf.sprintf "unknown target %S" n))
-           in
-           let workloads =
-             match workload with
-             | None -> Hart_fault.Fault.builtin_workloads
-             | Some n -> (
-                 match Hart_fault.Fault.find_workload n with
-                 | Some w -> [ w ]
-                 | None -> failwith (Printf.sprintf "unknown workload %S" n))
-           in
+         let workloads () =
+           pick "workload" Fault.builtin_workloads Fault.find_workload workload
+         in
+         if media_faults > 0 && (not server) && domains <= 1 then begin
            let reports =
              List.concat_map
                (fun t ->
                  List.map
                    (fun (name, setup, ops) ->
                      let r =
-                       Hart_fault.Fault.explore_media ~sites:media_faults
-                         ~base_seed:seed ~setup ~keep_going ~workload:name t
-                         ops
+                       Fault.explore_media ~sites:media_faults ~base_seed:seed
+                         ~setup ~keep_going ~workload:name t ops
                      in
-                     Format.printf "%a@." Hart_fault.Fault.pp_media_report r;
+                     Format.printf "%a@." Fault.pp_media_report r;
                      r)
-                   workloads)
-               targets
+                   (workloads ()))
+               (pick "target" Fault.media_targets Fault.find_target target)
            in
-           (match media_json with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.media_reports_json reports);
-               close_out oc);
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc
-                 (Hart_fault.Fault.media_violations_to_json reports);
-               close_out oc);
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault.m_violations)
-               reports
-           in
-           match vs with
-           | [] ->
-               print_endline "no silent wrong answers under media faults";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error
-                 (Printf.sprintf "%d silent-wrong-answer violation(s)"
-                    (List.length vs))
+           Option.iter
+             (fun path -> write_file path (Fault.media_reports_json reports))
+             media_json;
+           verdict ?json_out ~clean:"no silent wrong answers under media faults"
+             ~what:"silent-wrong-answer violation(s)"
+             (List.concat_map (fun r -> r.Fault.m_violations) reports)
          end
          else
-         let targets =
-           match target with
-           | None -> Hart_fault.Fault.all_targets
-           | Some n -> (
-               match Hart_fault.Fault.find_target n with
-               | Some t -> [ t ]
-               | None -> failwith (Printf.sprintf "unknown target %S" n))
-         in
-         let workloads =
-           match workload with
-           | None -> Hart_fault.Fault.builtin_workloads
-           | Some n -> (
-               match Hart_fault.Fault.find_workload n with
-               | Some w -> [ w ]
-               | None -> failwith (Printf.sprintf "unknown workload %S" n))
-         in
-         let mode =
-           match torn with
-           | None -> Hart_pmem.Pmem.Clean
-           | Some seed -> Hart_pmem.Pmem.Torn { seed; fraction = 0.5 }
-         in
-         let reports = ref [] in
-         List.iter
-           (fun t ->
-             List.iter
-               (fun (name, setup, ops) ->
-                 let rs =
-                   if adversarial then
-                     Hart_fault.Fault.explore_adversarial
-                       ~nested:(not no_nested) ~setup ?checkpoint_every
-                       ~keep_going ~workload:name t ops
-                   else
+           (* every mode is a list of sweeps over one core *)
+           let clean, nested, jobs =
+             if server then begin
+               if clients < 1 || clients > 4 then
+                 failwith "--clients supports 1-4 simulated sessions";
+               let setup, scripts =
+                 Fault_server.default_workload ~clients ~ops_per_client:28
+               in
+               let dsetup, dscripts, drops =
+                 Fault_server.drop_workload ~clients ~ops_per_client:28
+               in
+               let default =
+                 Fault_server.case ~seed ~workload:"srv-default" ~setup scripts
+               and drop =
+                 Fault_server.case ~drops ~seed ~workload:"srv-drop"
+                   ~setup:dsetup dscripts
+               in
+               ( "all server crash schedules consistent",
+                 false,
+                 List.concat_map
+                   (fun mode ->
                      [
-                       Hart_fault.Fault.explore ~mode ~nested:(not no_nested)
-                         ~setup ?checkpoint_every ~keep_going ~workload:name t
-                         ops;
+                       job mode default ~shrink:(fun () ->
+                           Fault_server.shrink ~mode ~seed ~setup scripts);
+                       job mode drop;
+                     ])
+                   (Pmem.Clean :: Option.to_list torn_mode) )
+             end
+             else if domains > 1 then begin
+               if domains > 4 then
+                 failwith "--domains supports 2-4 simulated domains";
+               let target =
+                 find "concurrent index" Fault_mt.find_mt_target index
+               in
+               let gen s =
+                 ( Printf.sprintf "mt-gen#%Ld" s,
+                   Fault_mt.gen_workload ~seed:s ~domains ~ops_per_domain:6 )
+               in
+               let workloads =
+                 match mt_workload with
+                 | "default" ->
+                     [
+                       ( "mt-default",
+                         Fault_mt.default_workload ~domains ~ops_per_domain:6 );
                      ]
+                 | "collide" ->
+                     [
+                       ( "mt-collide",
+                         Fault_mt.collide_workload ~domains ~ops_per_domain:6 );
+                     ]
+                 | "split-race" ->
+                     [
+                       ( "mt-split-race",
+                         Fault_mt.split_race_workload ~domains
+                           ~ops_per_domain:6 );
+                     ]
+                 | "gen" ->
+                     List.init (max 1 gen_seeds) (fun k ->
+                         gen (Int64.add seed (Int64.of_int k)))
+                 | w -> (
+                     match Scanf.sscanf_opt w "mt-gen#%Ld%!" Fun.id with
+                     | Some s -> [ gen s ]
+                     | None ->
+                         failwith
+                           (Printf.sprintf
+                              "unknown --mt-workload %S (default, collide, \
+                               split-race, gen, mt-gen#SEED)"
+                              w))
+               in
+               ( "all concurrent crash schedules consistent",
+                 nested_mt,
+                 List.map
+                   (fun (name, (setup, scripts)) ->
+                     job mode
+                       (Fault_mt.case ~target ~seed ~workload:name ~setup
+                          scripts)
+                       ~shrink:(fun () ->
+                         Fault_mt.shrink ~target ~mode ?checkpoint_every ~seed
+                           ~setup scripts))
+                   workloads )
+             end
+             else
+               let passes =
+                 if adversarial then Fault.adversarial_passes ()
+                 else [ (mode, false) ]
+               in
+               ( "all crash schedules consistent",
+                 not no_nested,
+                 List.concat_map
+                   (fun t ->
+                     List.concat_map
+                       (fun (name, setup, ops) ->
+                         let case = Fault.case ~workload:name ~setup t ops in
+                         List.map
+                           (fun (mode, directed) -> job ~directed mode case)
+                           passes)
+                       (workloads ()))
+                   (pick "target" Fault.all_targets Fault.find_target target)
+               )
+           in
+           let shrunk j =
+             match j.shrink with
+             | Some f when shrink -> (
+                 match f () with
+                 | None ->
+                     Format.printf
+                       "shrink: violation did not reproduce under replay@.";
+                     None
+                 | Some s ->
+                     Format.printf "shrink: %d candidate replays, %d accepted@.%a@."
+                       s.Explore.s_checks s.Explore.s_accepted Explore.pp_repro
+                       s.Explore.s_repro;
+                     Some s)
+             | _ -> None
+           in
+           match replay with
+           | Some schedule ->
+               List.iter
+                 (fun j ->
+                   Format.printf "[%s/%s] mode=%a schedule=%d@.%a@."
+                     j.case.Explore.name j.case.Explore.workload Explore.pp_mode
+                     j.mode schedule (Explore.pp_probe j.case)
+                     (Explore.probe ~mode:j.mode ~nested ~schedule j.case);
+                   Option.iter
+                     (fun s ->
+                       Format.printf "detail at minimum: %s@." s.Explore.s_detail)
+                     (shrunk j))
+                 jobs;
+               Ok ()
+           | None ->
+               let keep_going = keep_going || shrink in
+               let sweep j =
+                 let r =
+                   Explore.sweep ~mode:j.mode ~nested ~directed:j.directed
+                     ?checkpoint_every ?max_schedules ~keep_going j.case
                  in
-                 List.iter
-                   (fun r -> Format.printf "%a@." Hart_fault.Fault.pp_report r)
-                   rs;
-                 reports := !reports @ rs)
-               workloads)
-           targets;
-         (match json_out with
-         | None -> ()
-         | Some path ->
-             let oc = open_out path in
-             output_string oc (Hart_fault.Fault.violations_to_json !reports);
-             close_out oc);
-         let vs =
-           List.concat_map (fun r -> r.Hart_fault.Fault.violations) !reports
-         in
-         match vs with
-         | [] ->
-             print_endline "all crash schedules consistent";
-             Ok ()
-         | vs ->
-             List.iter
-               (fun v ->
-                 Printf.eprintf "violation: %s\n"
-                   (Hart_fault.Fault.violation_message v))
-               vs;
-             Error (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-       with
-      | Hart_fault.Fault.Violation msg -> Error msg
-      | Failure msg -> Error msg)
+                 Format.printf "%a@." Explore.pp_report r;
+                 match r.Explore.violations with
+                 | [] -> []
+                 | vs -> (
+                     match shrunk j with
+                     | Some s ->
+                         List.map
+                           (fun v ->
+                             { v with Explore.v_repro = Some s.Explore.s_repro })
+                           vs
+                     | None -> vs)
+               in
+               verdict ?json_out ~clean ~what:"violating schedule(s)"
+                 (List.concat_map sweep jobs)
+       with Explore.Violation msg | Failure msg -> Error msg)
   in
   Cmd.v
     (Cmd.info "fault"
@@ -1149,7 +1044,7 @@ let fault_cmd =
       const run $ workload $ target $ torn $ adversarial $ json_out $ no_nested
       $ checkpoint_every $ keep_going $ domains $ index $ nested_mt $ shrink
       $ mt_workload $ gen_seeds $ seed $ max_schedules $ media_faults
-      $ media_json $ server $ clients)
+      $ media_json $ server $ clients $ replay)
 
 let () =
   let commands =

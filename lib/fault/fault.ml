@@ -1,5 +1,6 @@
-module Latency = Hart_pmem.Latency
-module Meter = Hart_pmem.Meter
+(* Single-domain crash exploration over the eight recoverable indexes,
+   as [Explore] cases, plus the media-fault sweep. *)
+
 module Pmem = Hart_pmem.Pmem
 module Rng = Hart_util.Rng
 module Hart = Hart_core.Hart
@@ -12,24 +13,7 @@ module Nv_tree = Hart_baselines.Nv_tree
 module Wb_tree = Hart_baselines.Wb_tree
 module Cdds_btree = Hart_baselines.Cdds_btree
 module SMap = Map.Make (String)
-
-type op =
-  | Insert of string * string
-  | Update of string * string
-  | Delete of string
-  | Search of string
-
-let pp_op ppf = function
-  | Insert (k, v) -> Format.fprintf ppf "Insert(%S,%S)" k v
-  | Update (k, v) -> Format.fprintf ppf "Update(%S,%S)" k v
-  | Delete k -> Format.fprintf ppf "Delete(%S)" k
-  | Search k -> Format.fprintf ppf "Search(%S)" k
-
-let apply_model m = function
-  | Insert (k, v) -> SMap.add k v m
-  | Update (k, v) -> if SMap.mem k m then SMap.add k v m else m
-  | Delete k -> SMap.remove k m
-  | Search _ -> m
+open Explore
 
 type instance = {
   pool : Pmem.t;
@@ -49,16 +33,6 @@ type target = {
          repair path; the sweep consults the device ECC itself and
          refuses a corrupt image with a typed error. *)
 }
-
-(* Small pools and a small simulated LLC: the explorer clones the pool
-   once per nested schedule, so snapshot size dominates its cost. *)
-let fresh_pool () =
-  Pmem.create ~capacity:(1 lsl 18) (Meter.create ~llc_bytes:(1 lsl 16) Latency.c300_100)
-
-let sorted_dump iter =
-  let m = ref SMap.empty in
-  iter (fun k v -> m := SMap.add k v !m);
-  SMap.bindings !m
 
 let hart_instance ?(expect_clean = true) pool h =
   {
@@ -249,400 +223,101 @@ let media_targets = hart_checksummed :: all_targets
 let find_target name =
   List.find_opt (fun t -> t.target_name = name) media_targets
 
-exception Violation of string
-
-let pp_mode ppf = function
-  | Pmem.Clean -> Format.pp_print_string ppf "clean"
-  | Pmem.Torn { seed; fraction } ->
-      Format.fprintf ppf "torn(seed=%Ld,fraction=%.2f)" seed fraction
-  | Pmem.Torn_commit -> Format.pp_print_string ppf "torn-commit"
-  | Pmem.Torn_lines lines ->
-      Format.fprintf ppf "torn-lines[%s]"
-        (String.concat "," (List.map string_of_int lines))
-
-(* A minimal replayable reproducer, attached to a violation by the
-   concurrent shrinker: (scheduler seed, domain scripts, crash schedule)
-   names one deterministic execution of [Fault_mt.probe]. *)
-type repro = {
-  r_seed : int64;  (* scheduler seed *)
-  r_domains : int;
-  r_schedule : int;  (* violating flush boundary in the shrunk workload *)
-  r_setup : op list;
-  r_scripts : op list array;  (* one measured script per domain *)
-}
-
-let repro_ops r = Array.fold_left (fun a s -> a + List.length s) 0 r.r_scripts
-
-(* A violating schedule, with enough coordinates to replay it exactly:
-   (target, workload, mode, schedule[, nested]) names one deterministic
-   execution — the mode carries the torn-eviction seed when there is
-   one. *)
-type violation = {
-  v_target : string;
-  v_workload : string;
-  v_mode : Pmem.crash_mode;
-  v_schedule : int;  (* outer flush boundary index *)
-  v_nested : int option;  (* recovery flush index of a nested schedule *)
-  v_op : int option;  (* in-flight op index at the crash *)
-  v_detail : string;
-  v_repro : repro option;  (* shrunk coordinates, when a shrinker ran *)
-}
-
-let pp_repro ppf r =
-  let pp_ops ppf ops =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-      pp_op ppf ops
-  in
-  Format.fprintf ppf "seed=%Ld domains=%d schedule=%d ops=%d" r.r_seed r.r_domains
-    r.r_schedule (repro_ops r);
-  if r.r_setup <> [] then Format.fprintf ppf "@ setup: %a" pp_ops r.r_setup;
-  Array.iteri
-    (fun d ops -> Format.fprintf ppf "@ domain %d: %a" d pp_ops ops)
-    r.r_scripts
-
-let pp_violation ppf v =
-  let pp_opt tag ppf = function
-    | None -> ()
-    | Some m -> Format.fprintf ppf " %s=%d" tag m
-  in
-  Format.fprintf ppf "[%s/%s] mode=%a schedule=%d%a%a: %s" v.v_target v.v_workload
-    pp_mode v.v_mode v.v_schedule (pp_opt "nested") v.v_nested (pp_opt "op") v.v_op
-    v.v_detail;
-  match v.v_repro with
-  | None -> ()
-  | Some r -> Format.fprintf ppf "@ shrunk reproducer: %a" pp_repro r
-
-let violation_message v = Format.asprintf "%a" pp_violation v
-
-(* machine-readable form, for CI diffing against an empty baseline *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let op_json op =
-  let one tag k v =
-    Printf.sprintf {|{"op":"%s","key":"%s"%s}|} tag (json_escape k)
-      (match v with
-      | None -> ""
-      | Some v -> Printf.sprintf {|,"value":"%s"|} (json_escape v))
-  in
-  match op with
-  | Insert (k, v) -> one "insert" k (Some v)
-  | Update (k, v) -> one "update" k (Some v)
-  | Delete k -> one "delete" k None
-  | Search k -> one "search" k None
-
-let ops_json ops = "[" ^ String.concat "," (List.map op_json ops) ^ "]"
-
-let repro_json r =
-  Printf.sprintf
-    {|{"seed":%Ld,"domains":%d,"schedule":%d,"ops":%d,"setup":%s,"scripts":[%s]}|}
-    r.r_seed r.r_domains r.r_schedule (repro_ops r) (ops_json r.r_setup)
-    (String.concat "," (Array.to_list (Array.map ops_json r.r_scripts)))
-
-let violation_json v =
-  let opt = function None -> "null" | Some m -> string_of_int m in
-  let seed = match v.v_mode with Pmem.Torn { seed; _ } -> Printf.sprintf "%Ld" seed | _ -> "null" in
-  let repro = match v.v_repro with None -> "null" | Some r -> repro_json r in
-  Printf.sprintf
-    {|{"target":"%s","workload":"%s","mode":"%s","seed":%s,"schedule":%d,"nested":%s,"op":%s,"detail":"%s","repro":%s}|}
-    (json_escape v.v_target) (json_escape v.v_workload)
-    (json_escape (Format.asprintf "%a" pp_mode v.v_mode))
-    seed v.v_schedule (opt v.v_nested) (opt v.v_op) (json_escape v.v_detail) repro
-
-type report = {
-  target : string;
-  workload : string;
-  mode : Pmem.crash_mode;
-  n_ops : int;
-  total_flushes : int;
-  schedules : int;
-  nested_schedules : int;
-  recovery_flushes : int;
-  directed_schedules : int;  (* directed torn re-runs performed *)
-  checkpoints : int;  (* pool snapshots taken during the dry run *)
-  checkpoint_replays : int;  (* schedules replayed from a snapshot *)
-  violations : violation list;  (* collected with [keep_going]; else empty *)
-}
-
-let violation_list_json = function
-  | [] -> "[]\n"
-  | vs -> "[\n  " ^ String.concat ",\n  " (List.map violation_json vs) ^ "\n]\n"
-
-let violations_to_json reports =
-  violation_list_json (List.concat_map (fun r -> r.violations) reports)
-
 (* a key no workload uses, for the post-recovery usability probe *)
 let probe_key = "~~probe~~"
 
-(* Shared nested-crash plumbing, used by this explorer and by the
-   concurrent one ([Fault_mt]): given a clone of a crashed durable image
-   and the number of flushes its (uninterrupted) recovery performs,
-   re-crash the recovery itself at every one of those flush boundaries
-   and hand each crashed-again image to the caller's check. [recover]
-   runs the target's recovery on the armed clone and is expected to be
-   interrupted by [Pmem.Crash_injected]; if it completes instead, the
-   armed point was never reached and [never_fired] reports it. *)
-let nested_recovery_sweep ~snapshot ~recovery_flushes ~recover ~never_fired
-    ~check =
-  for m = 0 to recovery_flushes - 1 do
-    let pool = Pmem.clone snapshot in
-    Pmem.arm_crash pool ~after_flushes:m;
-    match recover pool with
-    | () -> never_fired ~nested:m
-    | exception Pmem.Crash_injected -> check ~nested:m pool
-  done
-
-let explore ?(mode = Pmem.Clean) ?(nested = true) ?(directed = false)
-    ?(setup = []) ?checkpoint_every ?(keep_going = false) ~workload target ops =
-  let exception Skip_schedule in
-  let violations = ref [] in
-  let msg_of fmt =
-    Printf.ksprintf
-      (fun s -> Printf.sprintf "[%s/%s] %s" target.target_name workload s)
-      fmt
-  in
-  (* schedule-level check failure: fatal, or collected under [keep_going]
-     (the rest of that schedule is skipped, the sweep continues) *)
-  let viol ~mode ~schedule ?nested ?op fmt =
-    Printf.ksprintf
-      (fun s ->
-        let v =
-          {
-            v_target = target.target_name;
-            v_workload = workload;
-            v_mode = mode;
-            v_schedule = schedule;
-            v_nested = nested;
-            v_op = op;
-            v_detail = s;
-            v_repro = None;
-          }
-        in
-        if keep_going then begin
-          violations := v :: !violations;
-          raise Skip_schedule
-        end
-        else raise (Violation (violation_message v)))
-      fmt
-  in
-  let ops_arr = Array.of_list ops in
-  let n = Array.length ops_arr in
+(* The single-domain case: a plain loop over one op list. A crash
+   inside op [j] leaves committed = models.(j) and in flight = [op j],
+   so the core's admissible set is exactly {models.(j), models.(j+1)}.
+   Snapshots are pool clones at op boundaries, resumed at the next op. *)
+let case ~workload ?(setup = []) target ops =
+  let ops = Array.of_list ops in
+  let n = Array.length ops in
   (* oracle prefix states: models.(j) = setup plus ops.(0..j-1), atomic *)
   let models = Array.make (n + 1) SMap.empty in
   models.(0) <- List.fold_left apply_model SMap.empty setup;
   for j = 1 to n do
-    models.(j) <- apply_model models.(j - 1) ops_arr.(j - 1)
+    models.(j) <- apply_model models.(j - 1) ops.(j - 1)
   done;
-  (* Checkpoints: pool clones taken at op boundaries every ~K flushes of
-     the dry run, newest first. A schedule crashing at flush [i] replays
-     from the latest checkpoint at [fl <= i] instead of re-executing the
-     whole prefix — O(F·K) total flush work instead of O(F²). Only op
-     boundaries are eligible because the clone captures no volatile
-     state: the replay reattaches to the image, which is only
-     side-effect-free between operations. *)
-  let checkpoints = ref [] in
-  let cp_ok = ref true in
-  let cp_replays = ref 0 in
-  (* dry run: count the measured phase's flush boundaries *)
-  let total_flushes =
-    let inst = target.fresh () in
-    List.iter inst.apply setup;
-    let f0 = Pmem.flush_count inst.pool in
-    (match checkpoint_every with
-    | Some k when k > 0 ->
-        Array.iteri
-          (fun j op ->
-            inst.apply op;
-            let fl = Pmem.flush_count inst.pool - f0 in
-            let last = match !checkpoints with [] -> 0 | (_, f, _) :: _ -> f in
-            if fl - last >= k && j + 1 < n then
-              checkpoints := (j + 1, fl, Pmem.clone inst.pool) :: !checkpoints)
-          ops_arr
-    | _ -> Array.iter inst.apply ops_arr);
-    let f = Pmem.flush_count inst.pool - f0 in
+  let inspect inst () =
     inst.check ();
-    if inst.dump () <> SMap.bindings models.(n) then
-      raise (Violation (msg_of "crash-free run disagrees with the oracle"));
-    f
+    inst.dump ()
   in
-  (* Replaying from a checkpoint is only faithful if reattaching to the
-     snapshot performs no PM work (no flushes, no new dirty lines) — true
-     at op boundaries for a consistent image. Verified per restore; any
-     discrepancy disables checkpoints for the rest of the sweep. *)
-  let restore cp =
-    let pool = Pmem.clone cp in
-    let f_before = Pmem.flush_count pool
-    and d_before = Pmem.dirty_line_count pool in
-    match target.reattach pool with
-    | inst
-      when Pmem.flush_count pool = f_before
-           && Pmem.dirty_line_count pool = d_before ->
-        Some inst
-    | _ -> None
-    | exception _ -> None
-  in
-  let nested_total = ref 0 and recovery_total = ref 0 and directed_total = ref 0 in
-  let rec run_schedule ~mode ~directed i ~allow_cp =
-    let viol ?nested ?op fmt = viol ~mode ~schedule:i ?nested ?op fmt in
-    (* re-execute (or replay) the prefix and crash at flush [i] *)
-    let via_cp = ref false in
-    let inst, j_start =
-      let from_scratch () =
-        let inst = target.fresh () in
-        List.iter inst.apply setup;
-        Pmem.arm_crash ~mode inst.pool ~after_flushes:i;
-        (inst, 0)
-      in
-      if not (allow_cp && !cp_ok) then from_scratch ()
-      else
-        match List.find_opt (fun (_, fl, _) -> fl <= i) !checkpoints with
-        | None -> from_scratch ()
-        | Some (j0, fl, cp) -> (
-            match restore cp with
-            | Some inst ->
-                via_cp := true;
-                incr cp_replays;
-                Pmem.arm_crash ~mode inst.pool ~after_flushes:(i - fl);
-                (inst, j0)
-            | None ->
-                cp_ok := false;
-                from_scratch ())
-    in
-    let inflight = ref (j_start - 1) in
+  (* run ops.(j0..) on [inst] (the crash, if any, already armed); [f_base]
+     measured flushes precede [j0] *)
+  let rec go ~checkpoint inst j0 f_base =
+    let f0 = Pmem.flush_count inst.pool in
+    let measured () = f_base + Pmem.flush_count inst.pool - f0 in
+    let j = ref j0 and last = ref 0 in
     let crashed =
       try
-        for j = j_start to n - 1 do
-          inflight := j;
-          inst.apply ops_arr.(j)
+        while !j < n do
+          inst.apply ops.(!j);
+          incr j;
+          match checkpoint with
+          | Some (k, take) when measured () - !last >= k && !j < n ->
+              last := measured ();
+              take (snapshot_at !j !last (Pmem.clone inst.pool))
+          | _ -> ()
         done;
-        Pmem.disarm_crash inst.pool;
         false
       with Pmem.Crash_injected -> true
     in
-    if not crashed then begin
-      if !via_cp then begin
-        (* the replayed execution coalesced its flushes differently (e.g.
-           a rebuilt allocator cache chose other slots); fall back to the
-           canonical full re-execution for this and later schedules *)
-        cp_ok := false;
-        decr cp_replays;
-        run_schedule ~mode ~directed i ~allow_cp:false
-      end
-      else
-        viol "never fired after %d flushes (flush count not reproducible?)"
-          total_flushes
-    end
-    else begin
-      let j = !inflight in
-      let before = SMap.bindings models.(j)
-      and after = SMap.bindings models.(j + 1) in
-      let consistent ?nested what got =
-        if got <> before && got <> after then begin
-          let pp_bindings bs =
-            String.concat ", "
-              (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) bs)
-          in
-          viol ?nested ~op:j
-            "in-flight %s: %s state is not a crash-consistent prefix. got {%s} \
-             expected {%s} or {%s}"
-            (Format.asprintf "%a" pp_op ops_arr.(j))
-            what (pp_bindings got) (pp_bindings before) (pp_bindings after)
-        end
-      in
-      let guard ?nested what f =
-        try f ()
-        with Failure msg ->
-          viol ?nested ~op:j "in-flight %s: %s: %s"
-            (Format.asprintf "%a" pp_op ops_arr.(j))
-            what msg
-      in
-      (* snapshot the crash state before recovery mutates the pool *)
-      let snapshot = Pmem.clone inst.pool in
-      let r0 = Pmem.flush_count inst.pool in
-      let rec1 = guard "recovery failed" (fun () -> target.reattach inst.pool) in
-      let recovery_flushes = Pmem.flush_count inst.pool - r0 in
-      recovery_total := !recovery_total + recovery_flushes;
-      guard "integrity after recovery" rec1.check;
-      consistent "recovered" (rec1.dump ());
-      (* idempotence: recovering the recovered image changes nothing *)
-      let m1 = rec1.dump () in
-      Pmem.crash inst.pool;
-      let rec2 =
-        guard "second recovery failed" (fun () -> target.reattach inst.pool)
-      in
-      guard "integrity after second recovery" rec2.check;
-      if rec2.dump () <> m1 then viol "recovery is not idempotent";
-      (* usability: the recovered store accepts and repairs further ops *)
-      guard "post-recovery probe" (fun () ->
-          rec2.apply (Insert (probe_key, "p"));
-          rec2.apply (Delete probe_key);
-          rec2.check ());
-      (* nested schedules: crash the recovery itself at each of its flushes *)
-      if nested then
-        nested_recovery_sweep ~snapshot ~recovery_flushes
-          ~recover:(fun pool -> ignore (target.reattach pool : instance))
-          ~never_fired:(fun ~nested ->
-            viol ~nested "nested crash never fired (%d recovery flushes)"
-              recovery_flushes)
-          ~check:(fun ~nested pool ->
-            incr nested_total;
-            let rec3 =
-              guard ~nested "recovery after nested crash failed" (fun () ->
-                  target.reattach pool)
-            in
-            guard ~nested "integrity after nested crash" rec3.check;
-            let got = rec3.dump () in
-            if got <> before && got <> after then
-              viol ~nested
-                "state after crashed recovery is not a crash-consistent prefix");
-      (* directed torn re-run: find the PM lines this schedule's recovery
-         actually reads (traced on a throwaway clone of the crash image),
-         then replay the very same schedule with exactly those lines
-         torn-evicted — the eviction subset most likely to disturb the
-         repair, found without sweeping K random subsets *)
-      if directed then begin
-        let lines =
-          let p = Pmem.clone snapshot in
-          Pmem.read_trace_start p;
-          (try ignore (target.reattach p : instance) with _ -> ());
-          Pmem.read_trace_stop p
-        in
-        if lines <> [] then begin
-          incr directed_total;
-          run_schedule ~mode:(Pmem.Torn_lines lines) ~directed:false i ~allow_cp
-        end
-      end
-    end
+    Pmem.disarm_crash inst.pool;
+    {
+      crashed;
+      flushes = measured ();
+      pool = inst.pool;
+      committed = models.(!j);
+      in_flight = (if crashed then [ (!j, ops.(!j)) ] else []);
+      waiting = [];
+      errors = [];
+      acked = 0;
+      dropped = false;
+      live = inspect inst;
+    }
+  and snapshot_at j fl cp =
+    {
+      first_crash = fl;
+      resume =
+        (fun ~mode ~crash_at ->
+          let inst = adopt cp target.reattach in
+          Pmem.arm_crash ~mode inst.pool ~after_flushes:(crash_at - fl);
+          go ~checkpoint:None inst j fl);
+    }
   in
-  for i = 0 to total_flushes - 1 do
-    try run_schedule ~mode ~directed i ~allow_cp:true with Skip_schedule -> ()
-  done;
   {
-    target = target.target_name;
+    kind = Single;
+    name = target.target_name;
     workload;
-    mode;
+    seed = 0L;
     n_ops = n;
-    total_flushes;
-    schedules = total_flushes;
-    nested_schedules = !nested_total;
-    recovery_flushes = !recovery_total;
-    directed_schedules = !directed_total;
-    checkpoints = List.length !checkpoints;
-    checkpoint_replays = !cp_replays;
-    violations = List.rev !violations;
+    run =
+      (fun ~crash ~checkpoint ->
+        let inst = target.fresh () in
+        List.iter inst.apply setup;
+        Option.iter
+          (fun (mode, i) -> Pmem.arm_crash ~mode inst.pool ~after_flushes:i)
+          crash;
+        go ~checkpoint inst 0 0);
+    mount = (fun pool -> inspect (target.reattach pool));
+    (* idempotence: recovering the recovered image changes nothing;
+       usability: the recovered store accepts and repairs further ops *)
+    recheck =
+      (fun pool recovered ->
+        Pmem.crash pool;
+        let inst = target.reattach pool in
+        inst.check ();
+        if inst.dump () <> recovered then failwith "recovery is not idempotent";
+        inst.apply (Insert (probe_key, "p"));
+        inst.apply (Delete probe_key);
+        inst.check ());
   }
+
+let explore ?mode ?(nested = true) ?directed ?setup ?checkpoint_every
+    ?keep_going ~workload target ops =
+  sweep ?mode ~nested ?directed ?checkpoint_every ?keep_going
+    (case ~workload ?setup target ops)
 
 (* ------------------------------------------------------------------ *)
 (* Built-in workloads (the standing gate)                              *)
@@ -760,31 +435,20 @@ let find_workload name =
    derived seeds as a fallback net for designs whose critical lines are
    neither read by recovery nor being flushed at the crash. *)
 
-let explore_adversarial ?(nested = true) ?(directed = true) ?(setup = [])
-    ?checkpoint_every ?(keep_going = false) ?(subsets = 4)
-    ?(base_seed = 0xF417L) ?(fraction = 0.5) ~workload target ops =
-  let sweep ?(directed = false) mode =
-    explore ~mode ~nested ~directed ~setup ?checkpoint_every ~keep_going
-      ~workload target ops
-  in
-  (if directed then [ sweep ~directed:true Pmem.Clean ] else [])
-  @ sweep Pmem.Torn_commit
+let adversarial_passes ?(directed = true) ?(subsets = 4) ?(base_seed = 0xF417L)
+    ?(fraction = 0.5) () =
+  (if directed then [ (Pmem.Clean, true) ] else [])
+  @ (Pmem.Torn_commit, false)
     :: List.init subsets (fun k ->
-           sweep (Pmem.Torn { seed = Int64.add base_seed (Int64.of_int k); fraction }))
+           (Pmem.Torn { seed = Int64.add base_seed (Int64.of_int k); fraction }, false))
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-8s %-14s mode=%a ops=%d flush-boundaries=%d schedules=%d nested=%d \
-     recovery-flushes=%d"
-    r.target r.workload pp_mode r.mode r.n_ops r.total_flushes r.schedules
-    r.nested_schedules r.recovery_flushes;
-  if r.directed_schedules > 0 then
-    Format.fprintf ppf " directed=%d" r.directed_schedules;
-  if r.checkpoints > 0 then
-    Format.fprintf ppf " checkpoints=%d replays=%d" r.checkpoints
-      r.checkpoint_replays;
-  if r.violations <> [] then
-    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.violations)
+let explore_adversarial ?(nested = true) ?directed ?setup ?checkpoint_every
+    ?keep_going ?subsets ?base_seed ?fraction ~workload target ops =
+  let c = case ~workload ?setup target ops in
+  List.map
+    (fun (mode, directed) ->
+      sweep ~mode ~nested ~directed ?checkpoint_every ?keep_going c)
+    (adversarial_passes ?directed ?subsets ?base_seed ?fraction ())
 
 (* ------------------------------------------------------------------ *)
 (* Media-fault sweep: seeded corruption of a populated durable image,
@@ -860,7 +524,7 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     ?(keep_going = false) ~workload target ops =
   let exception Skip_site in
   let exception Site_detected in
-  let violations = ref [] in
+  let found = ref [] in
   let outcomes = ref [] in
   let model0 =
     List.fold_left apply_model (List.fold_left apply_model SMap.empty setup) ops
@@ -881,26 +545,13 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     let fault = pick_fault rng pool in
     Pmem.inject_media_fault pool fault;
     let fault_s = describe_fault fault in
-    let viol fmt =
+    let fail fmt =
       Printf.ksprintf
         (fun s ->
-          let v =
-            {
-              v_target = target.target_name;
-              v_workload = workload;
-              v_mode = Pmem.Clean;
-              v_schedule = site;
-              v_nested = None;
-              v_op = None;
-              v_detail = Printf.sprintf "%s: %s" fault_s s;
-              v_repro = None;
-            }
-          in
-          if keep_going then begin
-            violations := v :: !violations;
-            raise Skip_site
-          end
-          else raise (Violation (violation_message v)))
+          collect ~keep_going found
+            (violation ~target:target.target_name ~workload ~mode:Pmem.Clean
+               ~schedule:site (Printf.sprintf "%s: %s" fault_s s));
+          raise Skip_site)
         fmt
     in
     let findings = ref [] in
@@ -954,7 +605,7 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
         List.filter (fun k -> not (List.mem k named)) divergent
       in
       if List.length uncovered > residual then
-        viol
+        fail
           "silent wrong answer at %s: %d divergent key(s) [%s] not covered by \
            findings (%d named, residual capacity %d)"
           phase (List.length uncovered)
@@ -975,7 +626,7 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     in
     let checked ~phase inst =
       try inst.check ()
-      with Failure msg -> viol "integrity broken at %s: %s" phase msg
+      with Failure msg -> fail "integrity broken at %s: %s" phase msg
     in
     (try
        (* 3. fault-tolerant mount *)
@@ -1017,7 +668,7 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     m_workload = workload;
     m_seed = base_seed;
     m_sites = List.rev !outcomes;
-    m_violations = List.rev !violations;
+    m_violations = List.rev !found;
   }
 
 let media_count outcome r =

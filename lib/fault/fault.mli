@@ -1,53 +1,13 @@
-(** Exhaustive crash-schedule exploration with model-based recovery
-    checking.
+(** The single-domain crash explorer: one scripted op list against one
+    recoverable index, swept by the {!Explore} core, plus the media-fault
+    sweep.
 
-    The paper's correctness claim is that Algorithms 1–7 keep the index
-    crash-consistent under {e selective persistence}: at any power
-    failure, the durable image must recover to a state in which every
-    completed operation is applied atomically and the one in-flight
-    operation is either fully applied or fully absent. Hand-picked
-    [arm_crash] call sites only sample that space; this module enumerates
-    it.
-
-    Given a scripted workload (a list of {!op}s against a {!target}), the
-    explorer:
-
-    + dry-runs the workload once to count its flush boundaries [F]
-      (every [persist]ed cache line is one potential crash point);
-    + for {e every} flush index [i < F], re-executes the workload from a
-      fresh pool, injects a crash at flush [i] (optionally in
-      {!Hart_pmem.Pmem.Torn} mode, where the hardware had also evicted a
-      pseudo-random subset of dirty lines), recovers, and checks that
-
-      - the target's own structural integrity check passes, and
-      - the recovered key→value map is a {e crash-consistent prefix} of a
-        pure OCaml [Map] oracle: exactly the oracle state before or after
-        the in-flight operation — no partial application, no damage to
-        bystander keys, no resurrection after delete;
-
-    + additionally verifies that recovery is {e idempotent} (recovering
-      the recovered image again yields the same map) and {e usable}
-      (a probe insert/delete passes integrity), and — with [nested] —
-      re-crashes the recovery itself at every one of its own flush
-      boundaries and checks that a subsequent recovery still converges.
-
-    Any deviation raises {!Violation} with full schedule coordinates. *)
-
-type op =
-  | Insert of string * string
-      (** upsert, like [Hart.insert]: an existing key is updated *)
-  | Update of string * string  (** no-op when the key is absent *)
-  | Delete of string  (** no-op when the key is absent *)
-  | Search of string
-      (** pure read; a model no-op, but it takes read admissions — the
-          concurrent explorer's generated workloads use it to interleave
-          readers with in-flight writers *)
-
-val apply_model : string Map.Make(String).t -> op -> string Map.Make(String).t
-(** The pure oracle: one atomically-applied operation. *)
-
-val pp_op : Format.formatter -> op -> unit
-val pp_mode : Format.formatter -> Hart_pmem.Pmem.crash_mode -> unit
+    Beyond the core's admissible-set oracle (here: exactly the model
+    before or after the in-flight op — no partial application, no damage
+    to bystander keys, no resurrection after delete), every schedule
+    checks that recovery is {e idempotent} (recovering the recovered
+    image again yields the same map) and the store {e usable} (a probe
+    insert/delete passes integrity). *)
 
 (** A recoverable index under test. [fresh] formats a brand-new pool;
     [reattach] adopts a (possibly crashed) pool, replaying any pending
@@ -55,7 +15,7 @@ val pp_mode : Format.formatter -> Hart_pmem.Pmem.crash_mode -> unit
     nested schedules exercise. *)
 type instance = {
   pool : Hart_pmem.Pmem.t;
-  apply : op -> unit;
+  apply : Explore.op -> unit;
   check : unit -> unit;
       (** structural integrity; post-crash repairable states allowed *)
   dump : unit -> (string * string) list;
@@ -124,141 +84,50 @@ val find_target : string -> target option
 (** Look a target up by its [target_name] (searches {!media_targets},
     a superset of {!all_targets}). *)
 
-exception Violation of string
-(** A crash schedule broke integrity or oracle consistency. The message
-    carries target, workload, outer flush index, nested flush index (if
-    any), and the in-flight operation. *)
-
-(** A minimal replayable reproducer attached to a violation by the
-    concurrent shrinker ([Fault_mt.shrink]): scheduler seed, per-domain
-    scripts and the violating flush boundary name one deterministic
-    execution of [Fault_mt.probe]. *)
-type repro = {
-  r_seed : int64;  (** scheduler seed *)
-  r_domains : int;
-  r_schedule : int;  (** violating flush boundary in the shrunk workload *)
-  r_setup : op list;
-  r_scripts : op list array;  (** one measured script per domain *)
-}
-
-val repro_ops : repro -> int
-(** Total measured operations across all domains of the reproducer. *)
-
-val pp_repro : Format.formatter -> repro -> unit
-
-val repro_json : repro -> string
-(** The reproducer as a JSON object: seed, domains, schedule, op count,
-    and the full setup/scripts op lists. *)
-
-(** One violating schedule, with enough coordinates to replay it
-    deterministically: (target, workload, mode, schedule[, nested])
-    names a single execution — the mode carries the torn-eviction seed
-    when there is one. *)
-type violation = {
-  v_target : string;
-  v_workload : string;
-  v_mode : Hart_pmem.Pmem.crash_mode;
-  v_schedule : int;  (** outer flush boundary index *)
-  v_nested : int option;  (** recovery flush index of a nested schedule *)
-  v_op : int option;  (** in-flight op index at the crash *)
-  v_detail : string;  (** what check failed, and how *)
-  v_repro : repro option;  (** shrunk coordinates, when a shrinker ran *)
-}
-
-val pp_violation : Format.formatter -> violation -> unit
-val violation_message : violation -> string
-
-type report = {
-  target : string;
-  workload : string;
-  mode : Hart_pmem.Pmem.crash_mode;
-  n_ops : int;  (** operations in the measured phase *)
-  total_flushes : int;  (** dry-run flush boundaries of the measured phase *)
-  schedules : int;
-      (** outer crash schedules explored; equals [total_flushes] when
-          coverage is complete (the explorer asserts this) *)
-  nested_schedules : int;  (** crash-during-recovery schedules explored *)
-  recovery_flushes : int;  (** total recovery flushes observed (= nested bound) *)
-  directed_schedules : int;
-      (** directed {!Hart_pmem.Pmem.Torn_lines} re-runs performed (the
-          [directed] pass; zero otherwise) *)
-  checkpoints : int;  (** pool snapshots taken during the dry run *)
-  checkpoint_replays : int;  (** schedules replayed from a snapshot *)
-  violations : violation list;
-      (** collected under [keep_going]; empty otherwise *)
-}
-
-val violation_list_json : violation list -> string
-(** A JSON array with one object per violation (target, workload, mode,
-    seed, schedule, nested, op, detail). An empty list yields ["[]\n"],
-    so CI can diff the emitted file against an empty baseline. *)
-
-val violations_to_json : report list -> string
-(** {!violation_list_json} over all violations of the given reports. *)
-
-val nested_recovery_sweep :
-  snapshot:Hart_pmem.Pmem.t ->
-  recovery_flushes:int ->
-  recover:(Hart_pmem.Pmem.t -> unit) ->
-  never_fired:(nested:int -> unit) ->
-  check:(nested:int -> Hart_pmem.Pmem.t -> unit) ->
-  unit
-(** Shared nested-crash plumbing for this explorer and the concurrent
-    one ([Fault_mt]). [snapshot] is a clone of a crashed durable image
-    whose uninterrupted recovery performs [recovery_flushes] flushes.
-    For every flush boundary [m < recovery_flushes]: clone the snapshot,
-    arm a crash after [m] flushes, and run [recover] on it — expected to
-    be interrupted by [Hart_pmem.Pmem.Crash_injected], after which
-    [check ~nested:m] receives the crashed-again pool (recover it once
-    more and judge the result). If [recover] completes without crashing,
-    [never_fired ~nested:m] is called instead. *)
+val case :
+  workload:string -> ?setup:Explore.op list -> target -> Explore.op list -> Explore.case
+(** [case ~workload target ops]: [setup] (default empty) is executed
+    before the measured phase on every re-execution but is not itself
+    swept — use it to build a large precondition (e.g. three full
+    chunks) cheaply. Snapshots are pool clones at op boundaries; a
+    replay reattaches the clone and continues at the next op. *)
 
 val explore :
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?nested:bool ->
   ?directed:bool ->
-  ?setup:op list ->
+  ?setup:Explore.op list ->
   ?checkpoint_every:int ->
   ?keep_going:bool ->
   workload:string ->
   target ->
-  op list ->
-  report
-(** [explore ~workload target ops] sweeps every flush boundary of [ops].
-    [setup] (default empty) is executed before the measured phase on
-    every re-execution but is not itself swept — use it to build a large
-    precondition (e.g. three full chunks) cheaply. [nested] (default
-    [true]) also sweeps every recovery flush of every outer schedule.
-    [mode] (default [Clean]) selects the injected failure semantics.
+  Explore.op list ->
+  Explore.report
+(** {!Explore.sweep} over {!case}, every flush boundary of [ops];
+    [nested] defaults to [true] here. *)
 
-    [directed] (default [false]) adds the directed torn pass: for every
-    crashed schedule, the set of PM lines its recovery actually reads is
-    captured on a throwaway clone (via the {!Hart_pmem.Pmem}
-    read-trace), and the same schedule is then re-run with exactly those
-    lines evicted ({!Hart_pmem.Pmem.Torn_lines}) and fully re-checked,
-    including the nested sweep.
-
-    [checkpoint_every] (default off) snapshots the pool with
-    {!Hart_pmem.Pmem.clone} at the first op boundary after every [K]
-    flushes of the dry run; each schedule then replays from the latest
-    snapshot preceding its crash point instead of re-executing the whole
-    prefix, turning the sweep's O(F²) flush work into O(F·K). A replay
-    is used only when reattaching the snapshot is observably free of PM
-    side effects and reproduces the canonical flush schedule; otherwise
-    the explorer falls back to full re-execution, so checkpointing never
-    changes what is checked.
-
-    [keep_going] (default [false]) collects every violating schedule
-    into [report.violations] (skipping the rest of that schedule)
-    instead of raising on the first.
-    @raise Violation on the first inconsistent schedule (unless
-    [keep_going]), or if the crash-free dry run disagrees with the
-    oracle (always fatal). *)
+val adversarial_passes :
+  ?directed:bool ->
+  ?subsets:int ->
+  ?base_seed:int64 ->
+  ?fraction:float ->
+  unit ->
+  (Hart_pmem.Pmem.crash_mode * bool) list
+(** The adversarial torn sweep's (mode, directed) passes, most-directed
+    eviction first. [directed] (default [true]) starts with a clean-mode
+    pass whose every crashed schedule is re-run with exactly the lines
+    its recovery reads torn-evicted. Then a {!Hart_pmem.Pmem.Torn_commit}
+    pass — at each crash point, evict exactly the line whose flush the
+    crash interrupted, i.e. the suspected commit-point line — then
+    [subsets] (default 4) {!Hart_pmem.Pmem.Torn} passes with seeds
+    [base_seed + k] and the given [fraction] (default 0.5) as a
+    random-subset fallback net for designs whose critical lines are
+    neither read by recovery nor being flushed at the crash. *)
 
 val explore_adversarial :
   ?nested:bool ->
   ?directed:bool ->
-  ?setup:op list ->
+  ?setup:Explore.op list ->
   ?checkpoint_every:int ->
   ?keep_going:bool ->
   ?subsets:int ->
@@ -266,22 +135,11 @@ val explore_adversarial :
   ?fraction:float ->
   workload:string ->
   target ->
-  op list ->
-  report list
-(** Adversarial torn sweep, most-directed eviction first. [directed]
-    (default [true]) starts with a clean-mode sweep whose every crashed
-    schedule is re-run with exactly the lines its recovery reads
-    torn-evicted ({!explore}'s [directed] pass). Then a
-    {!Hart_pmem.Pmem.Torn_commit} pass — at each crash point, evict
-    exactly the line whose flush the crash interrupted, i.e. the
-    suspected commit-point line — then [subsets] (default 4)
-    {!Hart_pmem.Pmem.Torn} passes with seeds [base_seed + k] and the
-    given [fraction] (default 0.5) as a random-subset fallback net for
-    designs whose critical lines are neither read by recovery nor being
-    flushed at the crash. Returns one {!report} per pass, in that
-    order. *)
+  Explore.op list ->
+  Explore.report list
+(** One {!explore} per {!adversarial_passes} pass, in that order. *)
 
-val builtin_workloads : (string * op list * op list) list
+val builtin_workloads : (string * Explore.op list * Explore.op list) list
 (** [(name, setup, ops)] — the standing correctness gate:
 
     - ["update-log"]: Algorithm 3 update-log states, including value
@@ -299,9 +157,7 @@ val builtin_workloads : (string * op list * op list) list
       of two leaf splits, including the torn-split window its recovery
       must repair. *)
 
-val find_workload : string -> (string * op list * op list) option
-
-val pp_report : Format.formatter -> report -> unit
+val find_workload : string -> (string * Explore.op list * Explore.op list) option
 
 (** {1 Media-fault sweep}
 
@@ -319,7 +175,7 @@ val pp_report : Format.formatter -> report -> unit
     named by a finding or absorbed by residual finding capacity, and
     any typed error is itself an accepted outcome. A divergence nothing
     accounts for is a {e silent wrong answer} — the one forbidden
-    behaviour, reported as a {!violation}. *)
+    behaviour, reported as an {!Explore.violation}. *)
 
 type media_outcome =
   | Media_repaired  (** findings, all repaired in place; no data lost *)
@@ -343,23 +199,23 @@ type media_report = {
   m_workload : string;
   m_seed : int64;
   m_sites : media_site list;
-  m_violations : violation list;  (** collected under [keep_going] *)
+  m_violations : Explore.violation list;  (** collected under [keep_going] *)
 }
 
 val explore_media :
   ?sites:int ->
   ?base_seed:int64 ->
-  ?setup:op list ->
+  ?setup:Explore.op list ->
   ?keep_going:bool ->
   workload:string ->
   target ->
-  op list ->
+  Explore.op list ->
   media_report
 (** [explore_media ~workload target ops] runs [sites] (default 25)
     seeded corruption sites; site [k] draws its fault from seed
     [base_seed + k], so a report is exactly reproducible. [keep_going]
     collects violations instead of raising on the first.
-    @raise Violation on the first silent wrong answer (unless
+    @raise Explore.Violation on the first silent wrong answer (unless
     [keep_going]). *)
 
 val media_report_json : media_report -> string
@@ -369,7 +225,7 @@ val media_reports_json : media_report list -> string
 
 val media_violations_to_json : media_report list -> string
 (** Just the violations of the given reports, in
-    {!violation_list_json} form — CI diffs this against an empty
+    {!Explore.violation_list_json} form — CI diffs this against an empty
     baseline. *)
 
 val pp_media_report : Format.formatter -> media_report -> unit

@@ -3,7 +3,9 @@
    simulated domains under a seed-replayable interleaving, crash at a
    chosen flush boundary with operations still in flight, recover
    single-domain, and check the durable image against a
-   linearization-set oracle.
+   linearization-set oracle. This module is the execution half — one
+   interleaved run and its quiescent snapshots — of an [Explore] case;
+   the sweep itself is the core's.
 
    Concurrency is simulated with effect-handler fibers on ONE OS
    thread, scheduled by the deterministic executor of the shared fiber
@@ -45,8 +47,6 @@
    the crash points where such contention was actually observed
    ([contended]). *)
 
-module Latency = Hart_pmem.Latency
-module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
 module Rng = Hart_util.Rng
 module Sched_hook = Hart_util.Sched_hook
@@ -56,33 +56,22 @@ module Mt_hook = Hart_core.Mt_hook
 module Rwlock = Hart_core.Rwlock
 module Scheduler = Hart_async.Scheduler
 module SMap = Map.Make (String)
-
-let fresh_pool () =
-  Pmem.create ~capacity:(1 lsl 18) (Meter.create ~llc_bytes:(1 lsl 16) Latency.c300_100)
+open Explore
 
 (* ------------------------------------------------------------------ *)
 (* Targets: any Index_intf.MT, packaged as closures                     *)
 
 type mt_instance = {
   mi_pool : Pmem.t;
-  mi_apply : Fault.op -> unit;
-  mi_dump : unit -> (string * string) list;  (* quiesced bindings, sorted *)
+  mi_apply : op -> unit;
+  mi_inspect : recovered:bool -> bindings;
 }
 
 type mt_target = {
   mt_name : string;
   mt_fresh : unit -> mt_instance;
-  mt_reattach : Pmem.t -> mt_instance;
-      (* adopt a quiescent (checkpoint) image; must be PM side-effect
-         free there, which the checkpoint replay verifies *)
-  mt_recover_dump : Pmem.t -> (string * string) list;
-      (* recover a crashed image single-domain, check integrity, dump *)
+  mt_recover : Pmem.t -> mt_instance;
 }
-
-let sorted_dump iter =
-  let m = ref SMap.empty in
-  iter (fun k v -> m := SMap.add k v !m);
-  SMap.bindings !m
 
 let of_mt (module M : Index_intf.MT) =
   let instance pool t =
@@ -90,11 +79,14 @@ let of_mt (module M : Index_intf.MT) =
       mi_pool = pool;
       mi_apply =
         (function
-        | Fault.Insert (k, v) -> M.insert t ~key:k ~value:v
-        | Fault.Update (k, v) -> ignore (M.update t ~key:k ~value:v : bool)
-        | Fault.Delete k -> ignore (M.delete t k : bool)
-        | Fault.Search k -> ignore (M.search t k : string option));
-      mi_dump = (fun () -> sorted_dump (M.iter t));
+        | Insert (k, v) -> M.insert t ~key:k ~value:v
+        | Update (k, v) -> ignore (M.update t ~key:k ~value:v : bool)
+        | Delete k -> ignore (M.delete t k : bool)
+        | Search k -> ignore (M.search t k : string option));
+      mi_inspect =
+        (fun ~recovered ->
+          M.check_integrity ~recovered t;
+          sorted_dump (M.iter t));
     }
   in
   {
@@ -103,12 +95,7 @@ let of_mt (module M : Index_intf.MT) =
       (fun () ->
         let pool = fresh_pool () in
         instance pool (M.create pool));
-    mt_reattach = (fun pool -> instance pool (M.recover pool));
-    mt_recover_dump =
-      (fun pool ->
-        let t = M.recover pool in
-        M.check_integrity ~recovered:true t;
-        sorted_dump (M.iter t));
+    mt_recover = (fun pool -> instance pool (M.recover pool));
   }
 
 let hart_mt = of_mt (module Hart_mt.M)
@@ -119,43 +106,27 @@ let wb_tree_mt = of_mt (module Hart_baselines.Wb_tree_mt)
 let all_mt_targets = [ hart_mt; fptree_mt; woart_mt; wort_mt; wb_tree_mt ]
 let find_mt_target name = List.find_opt (fun t -> t.mt_name = name) all_mt_targets
 
+let mount target pool =
+  let inst = target.mt_recover pool in
+  fun () -> inst.mi_inspect ~recovered:true
+
 (* ------------------------------------------------------------------ *)
 (* One interleaved execution, to completion or to the armed crash       *)
-
-type probe = {
-  p_crashed : bool;
-  p_flushes : int;  (* measured-phase flushes performed *)
-  p_committed : (string * string) list;  (* linearized-prefix model *)
-  p_in_flight : (int * Fault.op) list;  (* (fiber, op) holding a write lock *)
-  p_waiting : (int * Fault.op) list;
-      (* mutating (fiber, op) started but holding no write lock: durably
-         absent by the serialized-case oracle *)
-  p_state : (string * string) list;
-      (* bindings after single-domain recovery (crashed) or quiesce *)
-  p_recovery_flushes : int;  (* flushes the single-domain recovery performed *)
-  p_snapshot : Pmem.t option;
-      (* clone of the crashed durable image, taken before recovery —
-         present only when requested; feeds the nested recovery sweep *)
-}
 
 (* A quiescent snapshot of one deterministic execution: every fiber is
    at an op boundary (no locks held, no op partially applied), so the
    durable image plus (next-op cursors, committed model, RNG state) is
-   the whole state — reattaching the clone resumes the very same
+   the whole state — adopting the clone resumes the very same
    interleaving. *)
-type snapshot = {
-  sn_flushes : int;  (* measured flushes at capture *)
-  sn_pool : Pmem.t;  (* clone; re-cloned per replay *)
-  sn_next : int array;  (* per-fiber next op index *)
-  sn_committed : string SMap.t;
-  sn_rng : Rng.t;
+type resume = {
+  rs_flushes : int;  (* measured flushes at capture *)
+  rs_pool : Pmem.t;  (* clone; re-cloned per replay *)
+  rs_next : int array;  (* per-fiber next op index *)
+  rs_committed : string SMap.t;
+  rs_rng : Rng.t;
 }
 
-exception Snapshot_unusable
-
-let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
-    ?(on_checkpoint = fun (_ : snapshot) -> ()) ?(capture_snapshot = false)
-    ~setup scripts =
+let rec exec ~target ~seed ~setup scripts ?resume ~crash ~checkpoint () =
   let n = Array.length scripts in
   let scr = Array.map Array.of_list scripts in
   let next_op = Array.make n 0 in
@@ -167,24 +138,15 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
     | None ->
         let inst = target.mt_fresh () in
         List.iter inst.mi_apply setup;
-        (inst, List.fold_left Fault.apply_model SMap.empty setup, 0)
-    | Some sn ->
-        let pool = Pmem.clone sn.sn_pool in
-        let f_before = Pmem.flush_count pool
-        and d_before = Pmem.dirty_line_count pool in
-        let inst =
-          try target.mt_reattach pool with _ -> raise Snapshot_unusable
-        in
-        if
-          Pmem.flush_count pool <> f_before
-          || Pmem.dirty_line_count pool <> d_before
-        then raise Snapshot_unusable;
-        Array.blit sn.sn_next 0 next_op 0 n;
-        (inst, sn.sn_committed, sn.sn_flushes)
+        (inst, List.fold_left apply_model SMap.empty setup, 0)
+    | Some rs ->
+        let inst = adopt rs.rs_pool target.mt_recover in
+        Array.blit rs.rs_next 0 next_op 0 n;
+        (inst, rs.rs_committed, rs.rs_flushes)
   in
   let pool = inst.mi_pool in
   let rng =
-    match resume with None -> Rng.create seed | Some sn -> Rng.copy sn.sn_rng
+    match resume with None -> Rng.create seed | Some rs -> Rng.copy rs.rs_rng
   in
   (* the shared runtime's deterministic executor, drawing from [rng];
      only the injected crash is an expected fiber death *)
@@ -213,7 +175,7 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
              if not (Pmem.crash_fired pool) then begin
                if List.exists (fun (l', _) -> l' == l) !holders then
                  raise
-                   (Fault.Violation
+                   (Violation
                       (Printf.sprintf
                          "[%s-mt] two writers admitted to one lock \
                           (fibers %d and %d)"
@@ -235,7 +197,7 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
       if not (Pmem.crash_fired pool) then
         match cur_op.(current ()) with
         | Some op ->
-            committed := Fault.apply_model !committed op;
+            committed := apply_model !committed op;
             fired.(current ()) <- true
         | None -> ());
   Scheduler.install_sched_hook ();
@@ -246,9 +208,9 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
   in
   match
     let f0 = Pmem.flush_count pool in
-    (match crash_at with
-    | Some i -> Pmem.arm_crash ~mode pool ~after_flushes:(i - f_base)
-    | None -> ());
+    Option.iter
+      (fun (mode, i) -> Pmem.arm_crash ~mode pool ~after_flushes:(i - f_base))
+      crash;
     (* Every fiber is spawned, even with no ops left (resume of a fiber
        that had completed): in the original run such a fiber is parked
        at its final boundary yield and still consumes exactly one
@@ -287,26 +249,39 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
       done;
       !ok
     in
+    (* a snapshot at exactly [fl] flushes quiesced AFTER a crash at flush
+       [fl] would have fired (operations commit and release without
+       flushing again after their last persist), so it stands in only
+       for later crashes *)
     let last_cp = ref 0 in
     let maybe_checkpoint () =
-      match (checkpoint_every, crash_at) with
-      | Some k, None when k > 0 ->
+      match checkpoint with
+      | Some (k, take) ->
           let fl = Pmem.flush_count pool - f0 in
           if
             fl - !last_cp >= k && quiescent ()
             && Scheduler.Sim.runnable sim <> []
           then begin
             last_cp := fl;
-            on_checkpoint
+            let rs =
               {
-                sn_flushes = fl;
-                sn_pool = Pmem.clone pool;
-                sn_next = Array.copy next_op;
-                sn_committed = !committed;
-                sn_rng = Rng.copy rng;
+                rs_flushes = fl;
+                rs_pool = Pmem.clone pool;
+                rs_next = Array.copy next_op;
+                rs_committed = !committed;
+                rs_rng = Rng.copy rng;
+              }
+            in
+            take
+              {
+                first_crash = fl + 1;
+                resume =
+                  (fun ~mode ~crash_at ->
+                    exec ~target ~seed ~setup scripts ~resume:rs
+                      ~crash:(Some (mode, crash_at)) ~checkpoint:None ());
               }
           end
-      | _ -> ()
+      | None -> ()
     in
     (* Once the crash fires, no parked fiber is resumed again: their
        volatile progress is lost power, exactly like interrupted
@@ -329,460 +304,47 @@ let exec ~target ~seed ~mode ~crash_at ?resume ?checkpoint_every
       for i = n - 1 downto 0 do
         match (acquired.(i), cur_op.(i)) with
         | Some op, _ -> in_flight := (i, op) :: !in_flight
-        | None, Some (Fault.Search _) -> ()
-        | None, Some op ->
-            if not fired.(i) then waiting := (i, op) :: !waiting
+        | None, Some (Search _) -> ()
+        | None, Some op -> if not fired.(i) then waiting := (i, op) :: !waiting
         | None, None -> ()
       done;
-      let snapshot =
-        if crashed && capture_snapshot then Some (Pmem.clone pool) else None
-      in
-      let r0 = Pmem.flush_count pool in
-      let state =
-        if crashed then target.mt_recover_dump pool else inst.mi_dump ()
-      in
-      let recovery_flushes = if crashed then Pmem.flush_count pool - r0 else 0 in
       {
-        p_crashed = crashed;
-        p_flushes = flushes;
-        p_committed = SMap.bindings !committed;
-        p_in_flight = !in_flight;
-        p_waiting = !waiting;
-        p_state = state;
-        p_recovery_flushes = recovery_flushes;
-        p_snapshot = snapshot;
+        crashed;
+        flushes;
+        pool;
+        committed = !committed;
+        in_flight = !in_flight;
+        waiting = !waiting;
+        errors = [];
+        acked = 0;
+        dropped = false;
+        live = (fun () -> inst.mi_inspect ~recovered:false);
       }
 
-(* every subset of the in-flight set, folded onto the committed model —
-   waiting colliding operations appear in no subset: they held no lock,
-   so the serialized-case oracle says they are durably absent *)
-let admissible_states committed in_flight =
-  let subsets =
-    List.fold_left
-      (fun acc op -> acc @ List.map (fun s -> op :: s) acc)
-      [ [] ] in_flight
-  in
-  let base = List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty committed in
-  List.sort_uniq compare
-    (List.map
-       (fun s -> SMap.bindings (List.fold_left Fault.apply_model base s))
-       subsets)
-
-type report = {
-  target : string;
-  seed : int64;
-  domains : int;
-  workload : string;
-  mode : Pmem.crash_mode;
-  n_ops : int;
-  total_flushes : int;
-  schedules : int;
-  nested_schedules : int;  (* crash-during-recovery schedules explored *)
-  recovery_flushes : int;  (* total recovery flushes observed (= nested bound) *)
-  max_in_flight : int;
-  multi_in_flight : int;
-  contended : int;
-  checkpoints : int;
-  checkpoint_replays : int;
-  violations : Fault.violation list;
-}
-
-let pp_ops ppf ops =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    (fun ppf (i, op) -> Format.fprintf ppf "fiber%d:%a" i Fault.pp_op op)
-    ppf ops
-
-let explore ?(target = hart_mt) ?(mode = Pmem.Clean) ?(keep_going = false)
-    ?(stop_after_first = false) ?(nested = false) ?max_schedules
-    ?checkpoint_every ~seed ~domains ~workload ?(setup = []) scripts =
-  if Array.length scripts <> domains then
-    invalid_arg "Fault_mt.explore: scripts/domains mismatch";
-  let target_name = Printf.sprintf "%s-mt@%dd" target.mt_name domains in
-  let violations = ref [] in
-  let viol ?nested ~schedule fmt =
-    Printf.ksprintf
-      (fun s ->
-        let v =
-          {
-            Fault.v_target = target_name;
-            v_workload = workload;
-            v_mode = mode;
-            v_schedule = schedule;
-            v_nested = nested;
-            v_op = None;
-            v_detail = s;
-            v_repro = None;
-          }
-        in
-        if keep_going then violations := v :: !violations
-        else raise (Fault.Violation (Fault.violation_message v)))
-      fmt
-  in
-  (* dry run: flush-boundary census + crash-free linearization check,
-     and — with [checkpoint_every] — quiescent snapshot collection *)
-  let snapshots = ref [] in
-  let dry =
-    exec ~target ~seed ~mode ~crash_at:None ?checkpoint_every
-      ~on_checkpoint:(fun sn -> snapshots := sn :: !snapshots)
-      ~setup scripts
-  in
-  if dry.p_in_flight <> [] || dry.p_waiting <> [] then
-    raise
-      (Fault.Violation
-         (Printf.sprintf "[%s/%s] quiesced run left operations in flight"
-            target_name workload));
-  if dry.p_state <> dry.p_committed then
-    raise
-      (Fault.Violation
-         (Printf.sprintf
-            "[%s/%s] crash-free run disagrees with its linearization model"
-            target_name workload));
-  let f = dry.p_flushes in
-  let indices =
-    match max_schedules with
-    | Some m when m > 0 && m < f ->
-        (* evenly strided subsample, first boundary always included *)
-        let stride = (f + m - 1) / m in
-        List.filter (fun i -> i mod stride = 0) (List.init f Fun.id)
-    | _ -> List.init f Fun.id
-  in
-  let max_in_flight = ref 0 and multi = ref 0 and contended = ref 0 in
-  let nested_total = ref 0 and recovery_total = ref 0 in
-  let cp_ok = ref true and cp_replays = ref 0 in
-  let probe_at i =
-    (* replay from the newest quiescent snapshot before flush [i];
-       fall back to (and stay on) full re-execution if a snapshot's
-       adoption has side effects or its replay diverges *)
-    let scratch () =
-      exec ~target ~seed ~mode ~crash_at:(Some i) ~capture_snapshot:nested
-        ~setup scripts
-    in
-    if not !cp_ok then scratch ()
-    else
-      (* strictly before the crash flush: a snapshot at exactly [i]
-         flushes quiesced AFTER the crash point (operations commit and
-         release without flushing again after their last persist), so
-         resuming it would replay a different — valid but different —
-         execution than the scratch run it stands in for *)
-      match List.find_opt (fun sn -> sn.sn_flushes < i) !snapshots with
-      | None -> scratch ()
-      | Some sn -> (
-          match
-            exec ~target ~seed ~mode ~crash_at:(Some i) ~resume:sn
-              ~capture_snapshot:nested ~setup scripts
-          with
-          | p when p.p_crashed ->
-              incr cp_replays;
-              p
-          | _ | (exception Snapshot_unusable) ->
-              cp_ok := false;
-              scratch ())
-  in
-  let exception Stop in
-  (try
-     List.iter
-       (fun i ->
-         (match probe_at i with
-         | exception Failure msg ->
-             viol ~schedule:i "recovery or integrity failed: %s" msg
-         | p ->
-             if not p.p_crashed then
-               viol ~schedule:i "never fired after %d flushes (replay diverged?)" f
-             else begin
-               let k = List.length p.p_in_flight in
-               if k > !max_in_flight then max_in_flight := k;
-               if k >= 2 then incr multi;
-               if p.p_waiting <> [] then incr contended;
-               let ok = admissible_states p.p_committed (List.map snd p.p_in_flight) in
-               if not (List.mem p.p_state ok) then
-                 viol ~schedule:i
-                   "recovered state is not committed-prefix + in-flight subset \
-                    (in flight: %s; waiting: %s)"
-                   (Format.asprintf "%a" pp_ops p.p_in_flight)
-                   (Format.asprintf "%a" pp_ops p.p_waiting)
-               else begin
-                 (* nested sweep: the single-domain recovery of this
-                    concurrent crash is itself re-crashed at every one of
-                    its flush boundaries, recovered again, and judged
-                    against the same admissible set — the recovery repairs
-                    (micro-log replay, bitmap and leaf-slot repair) must
-                    be as atomic-or-absent as the operations they repair *)
-                 recovery_total := !recovery_total + p.p_recovery_flushes;
-                 match p.p_snapshot with
-                 | Some snapshot when nested ->
-                     Fault.nested_recovery_sweep ~snapshot
-                       ~recovery_flushes:p.p_recovery_flushes
-                       ~recover:(fun pool ->
-                         ignore
-                           (target.mt_recover_dump pool
-                             : (string * string) list))
-                       ~never_fired:(fun ~nested ->
-                         viol ~nested ~schedule:i
-                           "nested crash never fired (%d recovery flushes)"
-                           p.p_recovery_flushes)
-                       ~check:(fun ~nested pool ->
-                         incr nested_total;
-                         match target.mt_recover_dump pool with
-                         | state ->
-                             if not (List.mem state ok) then
-                               viol ~nested ~schedule:i
-                                 "state after crashed recovery is not \
-                                  committed-prefix + in-flight subset \
-                                  (in flight: %s)"
-                                 (Format.asprintf "%a" pp_ops p.p_in_flight)
-                         | exception Failure msg ->
-                             viol ~nested ~schedule:i
-                               "recovery after nested crash failed: %s" msg)
-                 | _ -> ()
-               end
-             end);
-         if stop_after_first && !violations <> [] then raise Stop)
-       indices
-   with Stop -> ());
+let case ?(target = hart_mt) ~seed ~workload ?(setup = []) scripts =
   {
-    target = target.mt_name;
-    seed;
-    domains;
+    kind = Concurrent;
+    name = Printf.sprintf "%s-mt@%dd" target.mt_name (Array.length scripts);
     workload;
-    mode;
+    seed;
     n_ops = Array.fold_left (fun a s -> a + List.length s) 0 scripts;
-    total_flushes = f;
-    schedules = List.length indices;
-    nested_schedules = !nested_total;
-    recovery_flushes = !recovery_total;
-    max_in_flight = !max_in_flight;
-    multi_in_flight = !multi;
-    contended = !contended;
-    checkpoints = List.length !snapshots;
-    checkpoint_replays = !cp_replays;
-    violations = List.rev !violations;
+    run = (fun ~crash ~checkpoint -> exec ~target ~seed ~setup scripts ~crash ~checkpoint ());
+    mount = mount target;
+    recheck = (fun _ _ -> ());
   }
 
-let probe ?(target = hart_mt) ?(mode = Pmem.Clean) ?(capture_snapshot = false)
-    ~seed ~schedule ?(setup = []) scripts =
-  exec ~target ~seed ~mode ~crash_at:(Some schedule) ~capture_snapshot ~setup
+let explore ?target ?mode ?keep_going ?nested
+    ?max_schedules ?checkpoint_every ~seed ~domains ~workload ?setup scripts =
+  if Array.length scripts <> domains then
+    invalid_arg "Fault_mt.explore: scripts/domains mismatch";
+  sweep ?mode ?keep_going ?nested ?max_schedules
+    ?checkpoint_every
+    (case ?target ~seed ~workload ?setup scripts)
+
+let shrink ?target ?mode ?checkpoint_every ?budget ~seed ~setup scripts =
+  Explore.shrink ?budget ?mode ?checkpoint_every ~seed ~setup
+    (fun ~seed setup scripts -> case ?target ~seed ~workload:"shrink" ~setup scripts)
     scripts
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking: delta-debug a violating concurrent workload to a locally
-   minimal reproducer.
-
-   Every candidate is judged by full deterministic replay: a bounded
-   [explore] sweep (stopping at its first violation, replaying prefixes
-   through the checkpoint machinery when [checkpoint_every] is given) —
-   a candidate "still violates" iff some flush boundary of its own
-   execution fails the linearization-set oracle. The violating boundary
-   is re-discovered per candidate, which is what shrinks the yield/crash
-   coordinate along with the ops: editing the workload moves every flush
-   index, so carrying the original schedule number over would be
-   meaningless.
-
-   Shrink moves, greedily to fixpoint: drop whole domains; remove
-   consecutive op chunks (halving chunk sizes, ddmin-style) from each
-   domain script and from the setup; merge the key universe down by
-   substituting keys with the smallest surviving key; simplify values to
-   one byte; finally canonicalize the scheduler seed towards 0. Each
-   accepted move re-anchors on the new violation's coordinates, so the
-   result names one exact execution of [probe]. *)
-
-type shrunk = {
-  s_repro : Fault.repro;
-  s_detail : string;  (* violation detail at the minimum *)
-  s_checks : int;  (* candidate replays evaluated *)
-  s_accepted : int;  (* shrink moves that preserved the violation *)
-}
-
-(* The ddmin core, generic over how a candidate is judged: [violates]
-   replays one (seed, setup, scripts) candidate and returns the
-   violating coordinates, incrementing [checks] per replay it performs.
-   Shared with the server explorer ([Fault_server]), whose "domains"
-   are client sessions — the moves are identical, only the replay
-   engine differs. *)
-let shrink_generic ~budget ~checks ~violates ~seed ~setup scripts =
-  match violates ~seed setup scripts with
-  | None -> None
-  | Some (sch0, det0) ->
-      let cur_seed = ref seed in
-      let cur_setup = ref setup in
-      let cur_scripts = ref scripts in
-      let cur_sch = ref sch0 in
-      let cur_detail = ref det0 in
-      let accepted = ref 0 in
-      let try_candidate ~seed:sd setup scripts =
-        if !checks >= budget then false
-        else
-          match violates ~seed:sd setup scripts with
-          | Some (sch, det) ->
-              cur_seed := sd;
-              cur_setup := setup;
-              cur_scripts := scripts;
-              cur_sch := sch;
-              cur_detail := det;
-              incr accepted;
-              true
-          | None -> false
-      in
-      let remove_chunk ops start len =
-        List.filteri (fun i _ -> i < start || i >= start + len) ops
-      in
-      (* drop whole domain scripts (an empty-script fiber still consumes
-         scheduling decisions, so even those are worth removing) *)
-      let drop_domain_pass () =
-        let changed = ref false in
-        let d = ref 0 in
-        while !d < Array.length !cur_scripts && Array.length !cur_scripts > 1 do
-          let cand =
-            Array.of_list
-              (List.filteri (fun i _ -> i <> !d) (Array.to_list !cur_scripts))
-          in
-          if try_candidate ~seed:!cur_seed !cur_setup cand then changed := true
-          else incr d
-        done;
-        !changed
-      in
-      (* remove consecutive chunks from one domain's script, halving the
-         chunk size — greedy ddmin *)
-      let drop_ops_pass () =
-        let changed = ref false in
-        for d = 0 to Array.length !cur_scripts - 1 do
-          let size = ref (max 1 (List.length !cur_scripts.(d) / 2)) in
-          while !size >= 1 do
-            let start = ref 0 in
-            while !start + !size <= List.length !cur_scripts.(d) do
-              let cand = Array.copy !cur_scripts in
-              cand.(d) <- remove_chunk cand.(d) !start !size;
-              if try_candidate ~seed:!cur_seed !cur_setup cand then
-                changed := true (* same start now holds the next chunk *)
-              else start := !start + !size
-            done;
-            size := !size / 2
-          done
-        done;
-        !changed
-      in
-      let drop_setup_pass () =
-        let changed = ref false in
-        let size = ref (max 1 (List.length !cur_setup / 2)) in
-        while !size >= 1 do
-          let start = ref 0 in
-          while !start + !size <= List.length !cur_setup do
-            let cand = remove_chunk !cur_setup !start !size in
-            if try_candidate ~seed:!cur_seed cand !cur_scripts then
-              changed := true
-            else start := !start + !size
-          done;
-          size := !size / 2
-        done;
-        !changed
-      in
-      let key_of = function
-        | Fault.Insert (k, _) | Fault.Update (k, _) | Fault.Delete k
-        | Fault.Search k ->
-            k
-      in
-      let subst_key k k' = function
-        | Fault.Insert (q, v) when q = k -> Fault.Insert (k', v)
-        | Fault.Update (q, v) when q = k -> Fault.Update (k', v)
-        | Fault.Delete q when q = k -> Fault.Delete k'
-        | Fault.Search q when q = k -> Fault.Search k'
-        | op -> op
-      in
-      (* shrink the key universe: fold each key onto the smallest one *)
-      let merge_keys_pass () =
-        let keys =
-          List.sort_uniq compare
-            (List.map key_of
-               (!cur_setup @ List.concat (Array.to_list !cur_scripts)))
-        in
-        match keys with
-        | [] | [ _ ] -> false
-        | smallest :: rest ->
-            let changed = ref false in
-            List.iter
-              (fun k ->
-                let cand_setup = List.map (subst_key k smallest) !cur_setup in
-                let cand_scripts =
-                  Array.map (List.map (subst_key k smallest)) !cur_scripts
-                in
-                if try_candidate ~seed:!cur_seed cand_setup cand_scripts then
-                  changed := true)
-              rest;
-            !changed
-      in
-      let simplify_value = function
-        | Fault.Insert (k, v) when v <> "v" -> Fault.Insert (k, "v")
-        | Fault.Update (k, v) when v <> "v" -> Fault.Update (k, "v")
-        | op -> op
-      in
-      let shrink_values_pass () =
-        let cand_setup = List.map simplify_value !cur_setup in
-        let cand_scripts = Array.map (List.map simplify_value) !cur_scripts in
-        if (cand_setup, cand_scripts) = (!cur_setup, !cur_scripts) then false
-        else try_candidate ~seed:!cur_seed cand_setup cand_scripts
-      in
-      let progress = ref true in
-      while !progress && !checks < budget do
-        progress := false;
-        if drop_domain_pass () then progress := true;
-        if drop_ops_pass () then progress := true;
-        if drop_setup_pass () then progress := true;
-        if merge_keys_pass () then progress := true;
-        if shrink_values_pass () then progress := true
-      done;
-      (* canonicalize the scheduler seed last (purely cosmetic): adopt
-         the smallest of a few tiny seeds that still violates *)
-      (try
-         List.iter
-           (fun sd ->
-             if sd <> !cur_seed && try_candidate ~seed:sd !cur_setup !cur_scripts
-             then raise Exit)
-           [ 0L; 1L ]
-       with Exit -> ());
-      Some
-        {
-          s_repro =
-            {
-              Fault.r_seed = !cur_seed;
-              r_domains = Array.length !cur_scripts;
-              r_schedule = !cur_sch;
-              r_setup = !cur_setup;
-              r_scripts = !cur_scripts;
-            };
-          s_detail = !cur_detail;
-          s_checks = !checks;
-          s_accepted = !accepted;
-        }
-
-let shrink ?(target = hart_mt) ?(mode = Pmem.Clean) ?checkpoint_every
-    ?(budget = 400) ~seed ~setup scripts =
-  let checks = ref 0 in
-  let violates ~seed setup scripts =
-    if Array.length scripts = 0 then None
-    else begin
-      incr checks;
-      match
-        explore ~target ~mode ~keep_going:true ~stop_after_first:true
-          ?checkpoint_every ~seed ~domains:(Array.length scripts)
-          ~workload:"shrink" ~setup scripts
-      with
-      | r -> (
-          match r.violations with
-          | [] -> None
-          | v :: _ -> Some (v.Fault.v_schedule, v.Fault.v_detail))
-      | exception Fault.Violation msg ->
-          (* dry-run/oracle failure outside any crash schedule — still a
-             reproducible failure of this candidate; no crash coordinate *)
-          Some (-1, msg)
-      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-      | exception e ->
-          (* a buggy target can corrupt itself badly enough that the
-             explorer itself trips (e.g. Not_found from a mangled
-             structure); deterministic, so still a shrinkable failure *)
-          Some (-1, Printexc.to_string e)
-    end
-  in
-  shrink_generic ~budget ~checks ~violates ~seed ~setup scripts
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                            *)
@@ -798,18 +360,18 @@ let default_workload ~domains ~ops_per_domain =
     List.concat
       (List.init domains (fun d ->
            [
-             Fault.Insert (key d 0, Printf.sprintf "s%d" d);
-             Fault.Insert (key d 1, Printf.sprintf "t%d" d);
+             Insert (key d 0, Printf.sprintf "s%d" d);
+             Insert (key d 1, Printf.sprintf "t%d" d);
            ]))
   in
   let script d =
     List.init ops_per_domain (fun j ->
         match j mod 5 with
-        | 0 -> Fault.Insert (key d (2 + j), Printf.sprintf "v%d.%d" d j)
-        | 1 -> Fault.Update (key d 0, Printf.sprintf "u%d.%d" d j)
-        | 2 -> Fault.Insert (key d (20 + j), String.make ((j mod 24) + 1) 'x')
-        | 3 -> Fault.Delete (key d 1)
-        | _ -> Fault.Update (key d (2 + j - 4), Printf.sprintf "w%d.%d" d j))
+        | 0 -> Insert (key d (2 + j), Printf.sprintf "v%d.%d" d j)
+        | 1 -> Update (key d 0, Printf.sprintf "u%d.%d" d j)
+        | 2 -> Insert (key d (20 + j), String.make ((j mod 24) + 1) 'x')
+        | 3 -> Delete (key d 1)
+        | _ -> Update (key d (2 + j - 4), Printf.sprintf "w%d.%d" d j))
   in
   (setup, Array.init domains script)
 
@@ -823,16 +385,16 @@ let collide_workload ~domains ~ops_per_domain =
   let shared i = Printf.sprintf "cc%02d" i in
   let priv d i = Printf.sprintf "p%d-%02d" d i in
   let setup =
-    [ Fault.Insert (shared 0, "s0"); Fault.Insert (shared 1, "s1") ]
-    @ List.init domains (fun d -> Fault.Insert (priv d 0, Printf.sprintf "q%d" d))
+    [ Insert (shared 0, "s0"); Insert (shared 1, "s1") ]
+    @ List.init domains (fun d -> Insert (priv d 0, Printf.sprintf "q%d" d))
   in
   let script d =
     List.init ops_per_domain (fun j ->
         match j mod 4 with
-        | 0 -> Fault.Update (shared (j land 1), Printf.sprintf "c%d.%d" d j)
-        | 1 -> Fault.Insert (priv d (1 + j), Printf.sprintf "v%d.%d" d j)
-        | 2 -> Fault.Insert (shared (10 + d), Printf.sprintf "n%d.%d" d j)
-        | _ -> Fault.Update (priv d 0, Printf.sprintf "w%d.%d" d j))
+        | 0 -> Update (shared (j land 1), Printf.sprintf "c%d.%d" d j)
+        | 1 -> Insert (priv d (1 + j), Printf.sprintf "v%d.%d" d j)
+        | 2 -> Insert (shared (10 + d), Printf.sprintf "n%d.%d" d j)
+        | _ -> Update (priv d 0, Printf.sprintf "w%d.%d" d j))
   in
   (setup, Array.init domains script)
 
@@ -852,19 +414,19 @@ let split_race_workload ~domains ~ops_per_domain =
   let hot i = Printf.sprintf "sp%02d" i in
   let priv d i = Printf.sprintf "r%d-%02d" d i in
   let setup =
-    List.init 30 (fun i -> Fault.Insert (hot i, Printf.sprintf "s%02d" i))
+    List.init 30 (fun i -> Insert (hot i, Printf.sprintf "s%02d" i))
   in
   let script d =
     if d = 0 then
       (* drives the leaf past capacity: inserts 30.. split the leaf *)
       List.init ops_per_domain (fun j ->
-          Fault.Insert (hot (30 + j), Printf.sprintf "h%d" j))
+          Insert (hot (30 + j), Printf.sprintf "h%d" j))
     else
       List.init ops_per_domain (fun j ->
           match j mod 3 with
-          | 0 -> Fault.Insert (priv d j, Printf.sprintf "v%d.%d" d j)
-          | 1 -> Fault.Update (hot (j mod 30), Printf.sprintf "c%d.%d" d j)
-          | _ -> Fault.Insert (priv d (10 + j), Printf.sprintf "w%d.%d" d j))
+          | 0 -> Insert (priv d j, Printf.sprintf "v%d.%d" d j)
+          | 1 -> Update (hot (j mod 30), Printf.sprintf "c%d.%d" d j)
+          | _ -> Insert (priv d (10 + j), Printf.sprintf "w%d.%d" d j))
   in
   (setup, Array.init domains script)
 
@@ -887,32 +449,16 @@ let gen_workload ~seed ~domains ~ops_per_domain =
     String.make len (Char.chr (Char.code 'a' + ((j + d) mod 26)))
   in
   let setup =
-    List.init 3 (fun i -> Fault.Insert (shared i, Printf.sprintf "s%d" i))
-    @ List.init domains (fun d -> Fault.Insert (priv d 3, Printf.sprintf "t%d" d))
+    List.init 3 (fun i -> Insert (shared i, Printf.sprintf "s%d" i))
+    @ List.init domains (fun d -> Insert (priv d 3, Printf.sprintf "t%d" d))
   in
   let script d =
     List.init ops_per_domain (fun j ->
         let k = pick_key d in
         match Rng.int rng 20 with
-        | x when x < 8 -> Fault.Insert (k, value d j)
-        | x when x < 13 -> Fault.Update (k, value d j)
-        | x when x < 16 -> Fault.Delete k
-        | _ -> Fault.Search k)
+        | x when x < 8 -> Insert (k, value d j)
+        | x when x < 13 -> Update (k, value d j)
+        | x when x < 16 -> Delete k
+        | _ -> Search k)
   in
   (setup, Array.init domains script)
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-12s %-10s mode=%a seed=%Ld ops=%d flush-boundaries=%d schedules=%d \
-     max-in-flight=%d multi-in-flight=%d contended=%d"
-    (Printf.sprintf "%s-mt@%dd" r.target r.domains)
-    r.workload Fault.pp_mode r.mode r.seed r.n_ops r.total_flushes r.schedules
-    r.max_in_flight r.multi_in_flight r.contended;
-  if r.nested_schedules > 0 then
-    Format.fprintf ppf " nested=%d recovery-flushes=%d" r.nested_schedules
-      r.recovery_flushes;
-  if r.checkpoints > 0 then
-    Format.fprintf ppf " checkpoints=%d replays=%d" r.checkpoints
-      r.checkpoint_replays;
-  if r.violations <> [] then
-    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.violations)

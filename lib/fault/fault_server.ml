@@ -45,13 +45,10 @@
    [Crash_injected] preemptively on every call once the crash has
    fired: post-crash service is dead, exactly like real lost power.
 
-   Violations carry the same replayable coordinates as the index-level
-   explorer ([Fault.violation]) and shrink through the same ddmin core
-   ([Fault_mt.shrink_generic]) — client sessions play the role of
-   domains — so a failing schedule self-minimizes to a JSON reproducer. *)
+   The sweep, violations and shrinking are the [Explore] core's — client
+   sessions play the role of domains — so a failing schedule
+   self-minimizes to a JSON reproducer. *)
 
-module Latency = Hart_pmem.Latency
-module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
 module Rng = Hart_util.Rng
 module Index_intf = Hart_core.Index_intf
@@ -63,49 +60,27 @@ module Resp = Hart_server.Resp
 module Server = Hart_server.Server
 module Transport = Hart_server.Transport
 module SMap = Map.Make (String)
-
-let fresh_pool () =
-  Pmem.create ~capacity:(1 lsl 18)
-    (Meter.create ~llc_bytes:(1 lsl 16) Latency.c300_100)
+open Explore
 
 (* ------------------------------------------------------------------ *)
 (* One deterministic execution of the whole stack                       *)
 
-type probe = {
-  p_crashed : bool;
-  p_flushes : int;  (* measured-phase flushes performed *)
-  p_committed : (string * string) list;  (* commit-order model *)
-  p_in_flight : (int * Fault.op) list;
-      (* (client, op) started under a stripe lock, not yet committed *)
-  p_state : (string * string) list;
-      (* bindings after single-domain recovery (crashed) or quiesce *)
-  p_replies : int array;  (* per client: reply frames parsed *)
-  p_acked : int array;  (* per client: write acknowledgements parsed *)
-  p_dropped : bool array;  (* per client: session hard-dropped *)
-  p_errors : string list;
-      (* in-execution oracle failures (ack⇒durable, reply typing, read
-         linearization, premature close) — recorded, not raised: they
-         surface inside [serve_conn]'s catch-all, which would swallow
-         an exception *)
-  p_recovery_flushes : int;
-}
-
 let fault_op_of_batch = function
-  | Index_intf.Bset (k, v) -> Fault.Insert (k, v)
-  | Index_intf.Bdel k -> Fault.Delete k
+  | Index_intf.Bset (k, v) -> Insert (k, v)
+  | Index_intf.Bdel k -> Delete k
 
-let exec ~mode ~seed ~crash_at ~drops ~setup scripts =
+let exec ~seed ~drops ~setup scripts ~crash =
   let n = Array.length scripts in
   let pool = fresh_pool () in
   let t = Hart_mt.create pool in
   List.iter
     (function
-      | Fault.Insert (k, v) -> Hart_mt.insert t ~key:k ~value:v
-      | Fault.Update (k, v) -> ignore (Hart_mt.update t ~key:k ~value:v : bool)
-      | Fault.Delete k -> ignore (Hart_mt.delete t k : bool)
-      | Fault.Search k -> ignore (Hart_mt.search t k : string option))
+      | Insert (k, v) -> Hart_mt.insert t ~key:k ~value:v
+      | Update (k, v) -> ignore (Hart_mt.update t ~key:k ~value:v : bool)
+      | Delete k -> ignore (Hart_mt.delete t k : bool)
+      | Search k -> ignore (Hart_mt.search t k : string option))
     setup;
-  let committed = ref (List.fold_left Fault.apply_model SMap.empty setup) in
+  let committed = ref (List.fold_left apply_model SMap.empty setup) in
   let errors = ref [] in
   let error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let rng = Rng.create seed in
@@ -220,19 +195,19 @@ let exec ~mode ~seed ~crash_at ~drops ~setup scripts =
     Array.iteri
       (fun i op ->
         match op with
-        | Fault.Insert _ | Fault.Update _ | Fault.Delete _ ->
+        | Insert _ | Update _ | Delete _ ->
             write_ord.(i) <- Some !w;
             incr w
-        | Fault.Search _ -> ())
+        | Search _ -> ())
       reqs;
     let payload = Buffer.create 256 in
     Array.iter
       (fun op ->
         match op with
-        | Fault.Insert (k, v) | Fault.Update (k, v) ->
+        | Insert (k, v) | Update (k, v) ->
             Resp.request payload [ "SET"; k; v ]
-        | Fault.Delete k -> Resp.request payload [ "DEL"; k ]
-        | Fault.Search k -> Resp.request payload [ "GET"; k ])
+        | Delete k -> Resp.request payload [ "DEL"; k ]
+        | Search k -> Resp.request payload [ "GET"; k ])
       reqs;
     let exception Closed_early in
     (try
@@ -256,12 +231,12 @@ let exec ~mode ~seed ~crash_at ~drops ~setup scripts =
                let r = replies.(c) in
                let tag = !buf.[!pos] in
                (match (reqs.(r), tag) with
-               | (Fault.Insert _ | Fault.Update _), '+'
-               | Fault.Delete _, ':'
-               | Fault.Search _, '$' -> ()
+               | (Insert _ | Update _), '+'
+               | Delete _, ':'
+               | Search _, '$' -> ()
                | op, tg ->
                    error "client %d: reply %d to %s has wire type '%c'" c r
-                     (Format.asprintf "%a" Fault.pp_op op)
+                     (Format.asprintf "%a" pp_op op)
                      tg);
                (match write_ord.(r) with
                | Some o ->
@@ -290,9 +265,9 @@ let exec ~mode ~seed ~crash_at ~drops ~setup scripts =
   in
   match
     let f0 = Pmem.flush_count pool in
-    (match crash_at with
-    | Some i -> Pmem.arm_crash ~mode pool ~after_flushes:i
-    | None -> ());
+    Option.iter
+      (fun (mode, i) -> Pmem.arm_crash ~mode pool ~after_flushes:i)
+      crash;
     Array.iteri
       (fun c script ->
         let client_ep, server_ep = Sim_net.pair ?drop_after:drops.(c) net in
@@ -318,212 +293,71 @@ let exec ~mode ~seed ~crash_at ~drops ~setup scripts =
       raise e
   | crashed, flushes ->
       finish ();
-      let in_flight =
-        List.sort compare
-          (Hashtbl.fold
-             (fun c op acc -> (c, fault_op_of_batch op) :: acc)
-             in_flight [])
-      in
-      let r0 = Pmem.flush_count pool in
-      let state =
-        if crashed then Fault_mt.hart_mt.Fault_mt.mt_recover_dump pool
-        else begin
-          let m = ref SMap.empty in
-          Hart_mt.M.iter t (fun k v -> m := SMap.add k v !m);
-          SMap.bindings !m
-        end
-      in
-      let recovery_flushes =
-        if crashed then Pmem.flush_count pool - r0 else 0
-      in
+      (* the crash-free session contract: every non-dropped session
+         fully acknowledged *)
+      if not crashed then
+        Array.iteri
+          (fun c script ->
+            let want = List.length script in
+            if (not dropped.(c)) && replies.(c) <> want then
+              error "client %d finished with %d of %d replies" c replies.(c)
+                want)
+          scripts;
       {
-        p_crashed = crashed;
-        p_flushes = flushes;
-        p_committed = SMap.bindings !committed;
-        p_in_flight = in_flight;
-        p_state = state;
-        p_replies = replies;
-        p_acked = acked;
-        p_dropped = dropped;
-        p_errors = List.rev !errors;
-        p_recovery_flushes = recovery_flushes;
+        crashed;
+        flushes;
+        pool;
+        committed = !committed;
+        in_flight =
+          List.sort compare
+            (Hashtbl.fold
+               (fun c op acc -> (c, fault_op_of_batch op) :: acc)
+               in_flight []);
+        waiting = [];
+        errors = List.rev !errors;
+        acked = Array.fold_left ( + ) 0 acked;
+        dropped = Array.exists Fun.id dropped;
+        live =
+          (fun () ->
+            Hart_mt.M.check_integrity ~recovered:false t;
+            sorted_dump (Hart_mt.M.iter t));
       }
 
-(* ------------------------------------------------------------------ *)
-(* The sweep                                                            *)
-
-type report = {
-  seed : int64;
-  clients : int;
-  workload : string;
-  mode : Pmem.crash_mode;
-  n_ops : int;  (* total scripted requests across all clients *)
-  total_flushes : int;  (* dry-run flush boundaries *)
-  schedules : int;  (* crash schedules explored *)
-  max_in_flight : int;  (* most in-flight batch ops at any crash *)
-  multi_in_flight : int;  (* schedules with >= 2 ops in flight *)
-  acked_writes : int;  (* write acks parsed across crashed schedules *)
-  dropped_sessions : int;  (* schedules where a session hard-dropped *)
-  recovery_flushes : int;  (* total recovery flushes across schedules *)
-  violations : Fault.violation list;
-}
-
-let no_drops n = Array.make n None
-
-let explore ?(mode = Pmem.Clean) ?(keep_going = false)
-    ?(stop_after_first = false) ?max_schedules ?drops ~seed ~clients
-    ~workload ?(setup = []) scripts =
-  if Array.length scripts <> clients then
-    invalid_arg "Fault_server.explore: scripts/clients mismatch";
+let case ?drops ~seed ~workload ?(setup = []) scripts =
+  let clients = Array.length scripts in
   let drops =
     match drops with
-    | None -> no_drops clients
+    | None -> Array.make clients None
     | Some d ->
         if Array.length d <> clients then
-          invalid_arg "Fault_server.explore: drops/clients mismatch";
+          invalid_arg "Fault_server.case: drops/clients mismatch";
         d
   in
-  let target_name = Printf.sprintf "server@%dc" clients in
-  let violations = ref [] in
-  let viol ~schedule fmt =
-    Printf.ksprintf
-      (fun s ->
-        let v =
-          {
-            Fault.v_target = target_name;
-            v_workload = workload;
-            v_mode = mode;
-            v_schedule = schedule;
-            v_nested = None;
-            v_op = None;
-            v_detail = s;
-            v_repro = None;
-          }
-        in
-        if keep_going then violations := v :: !violations
-        else raise (Fault.Violation (Fault.violation_message v)))
-      fmt
-  in
-  (* dry run: flush-boundary census plus the crash-free session oracle —
-     every non-dropped session fully acknowledged, the quiesced store
-     equal to the commit-order model, no in-execution errors *)
-  let dry = exec ~mode ~seed ~crash_at:None ~drops ~setup scripts in
-  let fatal fmt =
-    Printf.ksprintf
-      (fun s ->
-        raise
-          (Fault.Violation
-             (Printf.sprintf "[%s/%s] %s" target_name workload s)))
-      fmt
-  in
-  (match dry.p_errors with
-  | e :: _ -> fatal "crash-free run: %s" e
-  | [] -> ());
-  if dry.p_in_flight <> [] then fatal "quiesced run left requests in flight";
-  if dry.p_state <> dry.p_committed then
-    fatal "crash-free run disagrees with its commit-order model";
-  Array.iteri
-    (fun c d ->
-      if (not d) && dry.p_replies.(c) <> List.length scripts.(c) then
-        fatal "client %d finished with %d of %d replies" c dry.p_replies.(c)
-          (List.length scripts.(c)))
-    dry.p_dropped;
-  let f = dry.p_flushes in
-  let indices =
-    match max_schedules with
-    | Some m when m > 0 && m < f ->
-        let stride = (f + m - 1) / m in
-        List.filter (fun i -> i mod stride = 0) (List.init f Fun.id)
-    | _ -> List.init f Fun.id
-  in
-  let max_in_flight = ref 0 and multi = ref 0 in
-  let acked_total = ref 0 and dropped_n = ref 0 and recovery_total = ref 0 in
-  let pp_ops ppf ops =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-      (fun ppf (c, op) -> Format.fprintf ppf "client%d:%a" c Fault.pp_op op)
-      ppf ops
-  in
-  let exception Stop in
-  (try
-     List.iter
-       (fun i ->
-         (match exec ~mode ~seed ~crash_at:(Some i) ~drops ~setup scripts with
-         | exception Failure msg ->
-             viol ~schedule:i "recovery or integrity failed: %s" msg
-         | p ->
-             if not p.p_crashed then
-               viol ~schedule:i "never fired after %d flushes" f
-             else begin
-               let k = List.length p.p_in_flight in
-               if k > !max_in_flight then max_in_flight := k;
-               if k >= 2 then incr multi;
-               if Array.exists Fun.id p.p_dropped then incr dropped_n;
-               acked_total := !acked_total + Array.fold_left ( + ) 0 p.p_acked;
-               recovery_total := !recovery_total + p.p_recovery_flushes;
-               List.iter (fun e -> viol ~schedule:i "%s" e) p.p_errors;
-               let ok =
-                 Fault_mt.admissible_states p.p_committed
-                   (List.map snd p.p_in_flight)
-               in
-               if not (List.mem p.p_state ok) then
-                 viol ~schedule:i
-                   "recovered state is not committed-prefix + in-flight \
-                    subset (in flight: %s)"
-                   (Format.asprintf "%a" pp_ops p.p_in_flight)
-             end);
-         if stop_after_first && !violations <> [] then raise Stop)
-       indices
-   with Stop -> ());
   {
-    seed;
-    clients;
+    kind = Server;
+    name = Printf.sprintf "server@%dc" clients;
     workload;
-    mode;
+    seed;
     n_ops = Array.fold_left (fun a s -> a + List.length s) 0 scripts;
-    total_flushes = f;
-    schedules = List.length indices;
-    max_in_flight = !max_in_flight;
-    multi_in_flight = !multi;
-    acked_writes = !acked_total;
-    dropped_sessions = !dropped_n;
-    recovery_flushes = !recovery_total;
-    violations = List.rev !violations;
+    run = (fun ~crash ~checkpoint:_ -> exec ~seed ~drops ~setup scripts ~crash);
+    mount = Fault_mt.mount Fault_mt.hart_mt;
+    recheck = (fun _ _ -> ());
   }
 
-let probe ?(mode = Pmem.Clean) ?drops ~seed ~schedule ?(setup = []) scripts =
-  let drops =
-    match drops with None -> no_drops (Array.length scripts) | Some d -> d
-  in
-  exec ~mode ~seed ~crash_at:(Some schedule) ~drops ~setup scripts
+let explore ?mode ?keep_going ?max_schedules ?drops ~seed
+    ~clients ~workload ?setup scripts =
+  if Array.length scripts <> clients then
+    invalid_arg "Fault_server.explore: scripts/clients mismatch";
+  sweep ?mode ?keep_going ?max_schedules
+    (case ?drops ~seed ~workload ?setup scripts)
 
-(* ------------------------------------------------------------------ *)
-(* Shrinking: the shared ddmin core, judging candidates by a bounded
-   server sweep (clients play the role of domains; dropping a "domain"
-   drops a whole client session). Drop fuses are not threaded through —
-   shrink is for the no-drop sweeps; dropped-session violations replay
-   from their (workload, seed, schedule) coordinates directly. *)
-
-let shrink ?(mode = Pmem.Clean) ?(budget = 400) ~seed ~setup scripts =
-  let checks = ref 0 in
-  let violates ~seed setup scripts =
-    if Array.length scripts = 0 then None
-    else begin
-      incr checks;
-      match
-        explore ~mode ~keep_going:true ~stop_after_first:true ~seed
-          ~clients:(Array.length scripts) ~workload:"shrink" ~setup scripts
-      with
-      | r -> (
-          match r.violations with
-          | [] -> None
-          | v :: _ -> Some (v.Fault.v_schedule, v.Fault.v_detail))
-      | exception Fault.Violation msg -> Some (-1, msg)
-      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-      | exception e -> Some (-1, Printexc.to_string e)
-    end
-  in
-  Fault_mt.shrink_generic ~budget ~checks ~violates ~seed ~setup scripts
+(* Drop fuses are not threaded through the shrinker — it serves the
+   no-drop sweeps; dropped-session violations replay from their
+   (workload, seed, schedule) coordinates directly. *)
+let shrink ?mode ?budget ~seed ~setup scripts =
+  Explore.shrink ?budget ?mode ~seed ~setup
+    (fun ~seed setup scripts -> case ~seed ~workload:"shrink" ~setup scripts)
+    scripts
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                            *)
@@ -537,19 +371,19 @@ let default_workload ~clients ~ops_per_client =
   let key c i = Printf.sprintf "c%d-%02d" c i in
   let shared i = Printf.sprintf "sh%02d" i in
   let setup =
-    Fault.Insert (shared 0, "g0")
+    Insert (shared 0, "g0")
     :: List.init clients (fun c ->
-           Fault.Insert (key c 0, Printf.sprintf "s%d" c))
+           Insert (key c 0, Printf.sprintf "s%d" c))
   in
   let script c =
     List.init ops_per_client (fun j ->
         match j mod 6 with
-        | 0 -> Fault.Insert (key c (1 + j), Printf.sprintf "v%d.%d" c j)
-        | 1 -> Fault.Search (shared 0)
-        | 2 -> Fault.Insert (shared (1 + c), Printf.sprintf "n%d.%d" c j)
-        | 3 -> Fault.Update (shared 0, Printf.sprintf "u%d.%d" c j)
-        | 4 -> Fault.Delete (key c 0)
-        | _ -> Fault.Search (key c (1 + j - 5)))
+        | 0 -> Insert (key c (1 + j), Printf.sprintf "v%d.%d" c j)
+        | 1 -> Search (shared 0)
+        | 2 -> Insert (shared (1 + c), Printf.sprintf "n%d.%d" c j)
+        | 3 -> Update (shared 0, Printf.sprintf "u%d.%d" c j)
+        | 4 -> Delete (key c 0)
+        | _ -> Search (key c (1 + j - 5)))
   in
   (setup, Array.init clients script)
 
@@ -564,17 +398,3 @@ let drop_workload ~clients ~ops_per_client =
         if c = clients - 1 then Some 120 else None)
   in
   (setup, scripts, drops)
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-12s %-10s mode=%a seed=%Ld ops=%d flush-boundaries=%d schedules=%d \
-     max-in-flight=%d multi-in-flight=%d acked=%d"
-    (Printf.sprintf "server@%dc" r.clients)
-    r.workload Fault.pp_mode r.mode r.seed r.n_ops r.total_flushes
-    r.schedules r.max_in_flight r.multi_in_flight r.acked_writes;
-  if r.dropped_sessions > 0 then
-    Format.fprintf ppf " dropped-sessions=%d" r.dropped_sessions;
-  if r.recovery_flushes > 0 then
-    Format.fprintf ppf " recovery-flushes=%d" r.recovery_flushes;
-  if r.violations <> [] then
-    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.violations)

@@ -19,103 +19,56 @@
       committed operation, and the recovered image contains the whole
       committed model;
     - unacknowledged operations land as any admissible subset of the
-      started-but-uncommitted batch ops (atomically present or absent,
-      per {!Fault_mt.admissible_states});
+      started-but-uncommitted batch ops (atomically present or absent:
+      the {!Explore} admissible-set oracle);
     - GETs return the value at call entry or one committed during the
       call; replies are well-typed, in request order.
 
-    Violations carry {!Fault.violation} coordinates and self-minimize
-    through {!Fault_mt.shrink_generic}. See DESIGN.md §17. *)
+    The sweep, violations and shrinking are {!Explore}'s. See DESIGN.md
+    §17. *)
 
-type probe = {
-  p_crashed : bool;
-  p_flushes : int;  (** measured-phase flushes performed *)
-  p_committed : (string * string) list;  (** commit-order model *)
-  p_in_flight : (int * Fault.op) list;
-      (** (client, op) started under a stripe lock, uncommitted *)
-  p_state : (string * string) list;
-      (** bindings after single-domain recovery (crashed run) or after
-          quiescing (crash-free run) *)
-  p_replies : int array;  (** per client: reply frames parsed *)
-  p_acked : int array;  (** per client: write acknowledgements parsed *)
-  p_dropped : bool array;  (** per client: session hard-dropped *)
-  p_errors : string list;
-      (** in-execution oracle failures (ack⇒durable, reply typing,
-          read linearization, premature close) *)
-  p_recovery_flushes : int;
-}
-
-type report = {
-  seed : int64;
-  clients : int;
-  workload : string;
-  mode : Hart_pmem.Pmem.crash_mode;
-  n_ops : int;  (** total scripted requests across all clients *)
-  total_flushes : int;  (** dry-run flush boundaries *)
-  schedules : int;  (** crash schedules explored *)
-  max_in_flight : int;  (** most in-flight batch ops at any crash *)
-  multi_in_flight : int;  (** schedules with >= 2 ops in flight *)
-  acked_writes : int;  (** write acks parsed across crashed schedules *)
-  dropped_sessions : int;  (** schedules where a session hard-dropped *)
-  recovery_flushes : int;  (** recovery flushes across schedules *)
-  violations : Fault.violation list;
-      (** collected under [keep_going]; empty otherwise *)
-}
+val case :
+  ?drops:int option array ->
+  seed:int64 ->
+  workload:string ->
+  ?setup:Explore.op list ->
+  Explore.op list array ->
+  Explore.case
+(** One client session per script ([Insert]/[Update] → SET, [Delete] →
+    DEL, [Search] → GET), each pipelined as one burst; [setup]
+    populates the store directly, before any connection opens. [drops]
+    arms a {!Hart_async.Sim_net} hard-drop byte fuse per client. The
+    crash-free run also requires every non-dropped session to be fully
+    acknowledged and the quiesced store to pass its integrity check.
+    No snapshots: every schedule re-executes from scratch. *)
 
 val explore :
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?keep_going:bool ->
-  ?stop_after_first:bool ->
   ?max_schedules:int ->
   ?drops:int option array ->
   seed:int64 ->
   clients:int ->
   workload:string ->
-  ?setup:Fault.op list ->
-  Fault.op list array ->
-  report
-(** [explore ~seed ~clients ~workload scripts] dry-runs the full-stack
-    session once to count its flush boundaries [F] and check the
-    crash-free oracle (every non-dropped session fully acknowledged,
-    quiesced store equal to the commit-order model), then crashes every
-    boundary [i < F] ([max_schedules] evenly subsamples, first boundary
-    always included), recovers and checks the session-linearizability
-    oracle. [scripts] gives one request list per client session
-    ([Insert]/[Update] → SET, [Delete] → DEL, [Search] → GET); [setup]
-    populates the store directly, before any connection opens. [drops]
-    arms a {!Hart_async.Sim_net} hard-drop byte fuse per client.
-    @raise Fault.Violation on the first violating schedule (unless
-    [keep_going]), or if the crash-free run itself fails (always
-    fatal). *)
-
-val probe :
-  ?mode:Hart_pmem.Pmem.crash_mode ->
-  ?drops:int option array ->
-  seed:int64 ->
-  schedule:int ->
-  ?setup:Fault.op list ->
-  Fault.op list array ->
-  probe
-(** Replay one exact [(seed, schedule)] full-stack execution and return
-    its raw coordinates without judging them. Deterministic: two probes
-    of the same pair are identical, which the tests assert. *)
+  ?setup:Explore.op list ->
+  Explore.op list array ->
+  Explore.report
+(** {!Explore.sweep} over {!case}; [Array.length scripts] must equal
+    [clients]. *)
 
 val shrink :
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?budget:int ->
   seed:int64 ->
-  setup:Fault.op list ->
-  Fault.op list array ->
-  Fault_mt.shrunk option
-(** Delta-debug a violating server workload to a locally minimal
-    reproducer through {!Fault_mt.shrink_generic} — client sessions
-    play the role of domains (the repro's [r_domains] is its client
-    count), every candidate re-judged by a bounded {!explore} sweep.
-    Returns [None] if the input does not violate at all. Drop fuses are
-    not threaded through: shrink serves the no-drop sweeps. *)
+  setup:Explore.op list ->
+  Explore.op list array ->
+  Explore.shrunk option
+(** {!Explore.shrink} over {!case}: client sessions play the role of
+    domains (the repro's [r_domains] is its client count). Drop fuses
+    are not threaded through: shrink serves the no-drop sweeps. *)
 
 val default_workload :
-  clients:int -> ops_per_client:int -> Fault.op list * Fault.op list array
+  clients:int -> ops_per_client:int -> Explore.op list * Explore.op list array
 (** [(setup, scripts)] — each client mixes writes on its own key prefix
     (distinct stripes, so batch ops overlap at crash points) with
     writes and reads on a shared prefix (colliding commits; GETs whose
@@ -124,11 +77,9 @@ val default_workload :
 val drop_workload :
   clients:int ->
   ops_per_client:int ->
-  Fault.op list * Fault.op list array * int option array
+  Explore.op list * Explore.op list array * int option array
 (** {!default_workload} with the last client's connection armed to
     hard-drop after 120 delivered bytes — mid-pipelined-batch, writes
     received but never acknowledged. The server's epilogue contract
     (DESIGN.md §17) says those writes still commit; the sweep checks
     they survive every crash boundary like any other committed op. *)
-
-val pp_report : Format.formatter -> report -> unit

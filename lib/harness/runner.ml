@@ -67,23 +67,3 @@ let measure inst trace =
 
 let preload inst keys value_of =
   Array.iteri (fun i key -> inst.ops.Index_intf.insert ~key ~value:(value_of i)) keys
-
-let fault_gate ?(torn_seeds = [ 1L; 2L ]) ?(progress = fun _ -> ()) () =
-  let modes =
-    Pmem.Clean
-    :: List.map (fun seed -> Pmem.Torn { seed; fraction = 0.5 }) torn_seeds
-  in
-  List.concat_map
-    (fun target ->
-      List.concat_map
-        (fun (workload, setup, ops) ->
-          List.map
-            (fun mode ->
-              let r =
-                Hart_fault.Fault.explore ~mode ~setup ~workload target ops
-              in
-              progress r;
-              r)
-            modes)
-        Hart_fault.Fault.builtin_workloads)
-    Hart_fault.Fault.all_targets

@@ -41,14 +41,3 @@ val measure : instance -> Hart_workloads.Workload.op array -> measurement
 val preload : instance -> string array -> (int -> string) -> unit
 (** Insert all keys (measured on the simulated clock too, but callers
     normally diff around {!measure} so preload cost is excluded). *)
-
-val fault_gate :
-  ?torn_seeds:int64 list ->
-  ?progress:(Hart_fault.Fault.report -> unit) ->
-  unit ->
-  Hart_fault.Fault.report list
-(** The standing crash-correctness gate: run {!Hart_fault.Fault.explore}
-    over every built-in workload, on every target, under [Clean] plus one
-    [Torn] mode per seed in [torn_seeds] (default [[1L; 2L]], fraction
-    0.5). [progress] is called after each completed sweep. Raises
-    {!Hart_fault.Fault.Violation} on the first inconsistent schedule. *)

@@ -1912,6 +1912,7 @@ let test_range_after_art_cleanup () =
 (* Recover round-trips over every index (HART + the seven baselines)   *)
 
 module Fault = Hart_fault.Fault
+module Explore = Hart_fault.Explore
 
 (* Build an index, snapshot its pool with [Pmem.clone] (a quiesced
    "reboot"), [recover] from the snapshot and differential-check the
@@ -1921,7 +1922,7 @@ let roundtrip_check (tgt : Fault.target) ops =
   let name = tgt.Fault.target_name in
   let inst = tgt.Fault.fresh () in
   List.iter inst.Fault.apply ops;
-  let model = List.fold_left Fault.apply_model SMap.empty ops in
+  let model = List.fold_left Explore.apply_model SMap.empty ops in
   Alcotest.(check (list (pair string string)))
     (name ^ ": live bindings match oracle")
     (SMap.bindings model) (inst.Fault.dump ());
@@ -1931,7 +1932,7 @@ let roundtrip_check (tgt : Fault.target) ops =
   Alcotest.(check (list (pair string string)))
     (name ^ ": recovered bindings match oracle")
     (SMap.bindings model) (r.Fault.dump ());
-  let post = Fault.[ Insert ("zz-post-recover", "pr"); Delete "zz-post-recover" ] in
+  let post = Explore.[ Insert ("zz-post-recover", "pr"); Delete "zz-post-recover" ] in
   List.iter r.Fault.apply post;
   r.Fault.check ();
   Alcotest.(check (list (pair string string)))
@@ -1943,12 +1944,12 @@ let test_recover_roundtrip_empty () =
 
 let test_recover_roundtrip_single_key () =
   List.iter
-    (fun tgt -> roundtrip_check tgt [ Fault.Insert ("solo", "v") ])
+    (fun tgt -> roundtrip_check tgt [ Explore.Insert ("solo", "v") ])
     Fault.all_targets
 
 let test_recover_roundtrip_mixed () =
   let ops =
-    Fault.
+    Explore.
       [
         Insert ("alpha", "1");
         Insert ("alpha-beta", "2");
@@ -1989,7 +1990,7 @@ let expect_load_failure name path =
 
 let test_image_corruption_all_indexes () =
   let ops =
-    Fault.
+    Explore.
       [
         Insert ("ic-a", "1");
         Insert ("ic-b", String.make 24 'b');
@@ -1998,7 +1999,7 @@ let test_image_corruption_all_indexes () =
         Update ("ic-b", "two");
       ]
   in
-  let model = List.fold_left Fault.apply_model SMap.empty ops in
+  let model = List.fold_left Explore.apply_model SMap.empty ops in
   let path = Filename.temp_file "hart_img" ".pm" in
   List.iter
     (fun (tgt : Fault.target) ->

@@ -3,8 +3,14 @@
    and torn crash modes, including nested crash-during-recovery. *)
 
 module Pmem = Hart_pmem.Pmem
+module Explore = Hart_fault.Explore
 module Fault = Hart_fault.Fault
 module Fault_mt = Hart_fault.Fault_mt
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let find name =
   match Fault.find_workload name with
@@ -19,21 +25,21 @@ let find name =
    torn split to repair), so [expect_nested] is per-target. *)
 let check_report ?(nested = true) ?(expect_nested = false) r =
   Alcotest.(check bool)
-    (Format.asprintf "%a: has flush boundaries" Fault.pp_report r)
+    (Format.asprintf "%a: has flush boundaries" Explore.pp_report r)
     true
-    (r.Fault.total_flushes > 0);
+    (r.Explore.total_flushes > 0);
   Alcotest.(check int)
-    (Format.asprintf "%a: full coverage" Fault.pp_report r)
-    r.Fault.total_flushes r.Fault.schedules;
+    (Format.asprintf "%a: full coverage" Explore.pp_report r)
+    r.Explore.total_flushes r.Explore.schedules;
   if nested then begin
     Alcotest.(check int)
-      (Format.asprintf "%a: full nested coverage" Fault.pp_report r)
-      r.Fault.recovery_flushes r.Fault.nested_schedules;
+      (Format.asprintf "%a: full nested coverage" Explore.pp_report r)
+      r.Explore.recovery_flushes r.Explore.nested_schedules;
     if expect_nested then
       Alcotest.(check bool)
-        (Format.asprintf "%a: nested schedules ran" Fault.pp_report r)
+        (Format.asprintf "%a: nested schedules ran" Explore.pp_report r)
         true
-        (r.Fault.nested_schedules > 0)
+        (r.Explore.nested_schedules > 0)
   end
 
 let sweep ?mode ?nested ?expect_nested target name () =
@@ -104,13 +110,13 @@ let parallel_recovery_matches_serial_space () =
       (Fault.hart_parallel_recovery ~domains:2)
       ops
   in
-  Alcotest.(check int) "same flush boundaries" s.Fault.total_flushes
-    p.Fault.total_flushes;
-  Alcotest.(check int) "same schedules" s.Fault.schedules p.Fault.schedules;
-  Alcotest.(check int) "same recovery flushes" s.Fault.recovery_flushes
-    p.Fault.recovery_flushes;
-  Alcotest.(check int) "same nested schedules" s.Fault.nested_schedules
-    p.Fault.nested_schedules
+  Alcotest.(check int) "same flush boundaries" s.Explore.total_flushes
+    p.Explore.total_flushes;
+  Alcotest.(check int) "same schedules" s.Explore.schedules p.Explore.schedules;
+  Alcotest.(check int) "same recovery flushes" s.Explore.recovery_flushes
+    p.Explore.recovery_flushes;
+  Alcotest.(check int) "same nested schedules" s.Explore.nested_schedules
+    p.Explore.nested_schedules
 
 let parallel_recovery_cases =
   let target = Fault.hart_parallel_recovery ~domains:2 in
@@ -141,13 +147,13 @@ let schedule_space_pin () =
       let r = Fault.explore ~setup ~workload:name Fault.hart ops in
       Alcotest.(check int)
         (Printf.sprintf "%s: flush boundaries" name)
-        flushes r.Fault.total_flushes;
+        flushes r.Explore.total_flushes;
       Alcotest.(check int)
         (Printf.sprintf "%s: schedules" name)
-        scheds r.Fault.schedules;
+        scheds r.Explore.schedules;
       Alcotest.(check int)
         (Printf.sprintf "%s: nested schedules" name)
-        nested r.Fault.nested_schedules)
+        nested r.Explore.nested_schedules)
     [
       ("update-log", 105, 105, 254);
       ("delete-recycle", 82, 82, 130);
@@ -158,7 +164,7 @@ let schedule_space_pin () =
 
 let oracle_semantics () =
   let module SMap = Map.Make (String) in
-  let m = List.fold_left Fault.apply_model SMap.empty in
+  let m = List.fold_left Explore.apply_model SMap.empty in
   Alcotest.(check (list (pair string string)))
     "insert upserts"
     [ ("a", "2") ]
@@ -177,16 +183,16 @@ let checkpoint_equivalence target name () =
   let name, setup, ops = find name in
   let full = Fault.explore ~setup ~workload:name target ops in
   let cp = Fault.explore ~setup ~checkpoint_every:30 ~workload:name target ops in
-  Alcotest.(check int) "same flush boundaries" full.Fault.total_flushes
-    cp.Fault.total_flushes;
-  Alcotest.(check int) "same schedules" full.Fault.schedules cp.Fault.schedules;
-  Alcotest.(check int) "same nested schedules" full.Fault.nested_schedules
-    cp.Fault.nested_schedules;
-  Alcotest.(check int) "same recovery flushes" full.Fault.recovery_flushes
-    cp.Fault.recovery_flushes;
-  Alcotest.(check bool) "snapshots were taken" true (cp.Fault.checkpoints > 0);
+  Alcotest.(check int) "same flush boundaries" full.Explore.total_flushes
+    cp.Explore.total_flushes;
+  Alcotest.(check int) "same schedules" full.Explore.schedules cp.Explore.schedules;
+  Alcotest.(check int) "same nested schedules" full.Explore.nested_schedules
+    cp.Explore.nested_schedules;
+  Alcotest.(check int) "same recovery flushes" full.Explore.recovery_flushes
+    cp.Explore.recovery_flushes;
+  Alcotest.(check bool) "snapshots were taken" true (cp.Explore.checkpoints > 0);
   Alcotest.(check bool) "schedules were replayed from snapshots" true
-    (cp.Fault.checkpoint_replays > 0)
+    (cp.Explore.checkpoint_replays > 0)
 
 (* The explorer must actually catch a broken target: a "store" that
    persists nothing recovers to an empty map mid-workload. *)
@@ -198,15 +204,15 @@ let detects_violation () =
         (fun () ->
           let inner = Fault.hart.Fault.fresh () in
           (* drop every delete: completed ops are then NOT all applied *)
-          { inner with apply = (function Fault.Delete _ -> () | op -> inner.apply op) });
+          { inner with apply = (function Explore.Delete _ -> () | op -> inner.apply op) });
       reattach = Fault.hart.Fault.reattach;
       media_mount = None;
     }
   in
   let name, setup, ops = find "delete-recycle" in
   match Fault.explore ~nested:false ~setup ~workload:name broken ops with
-  | (_ : Fault.report) -> Alcotest.fail "explorer accepted a broken target"
-  | exception Fault.Violation _ -> ()
+  | (_ : Explore.report) -> Alcotest.fail "explorer accepted a broken target"
+  | exception Explore.Violation _ -> ()
 
 (* A target that is correct crash-free (so the always-fatal dry-run
    check passes) but whose recovery silently drops a key — every
@@ -219,14 +225,14 @@ let tampered_target () =
     reattach =
       (fun pool ->
         let inner = Fault.hart.Fault.reattach pool in
-        inner.Fault.apply (Fault.Delete "ab");
+        inner.Fault.apply (Explore.Delete "ab");
         inner);
     media_mount = None;
   }
 
 let tampered_ops =
-  [ Fault.Insert ("aa", "1"); Fault.Insert ("ab", "2");
-    Fault.Insert ("ac", "3") ]
+  [ Explore.Insert ("aa", "1"); Explore.Insert ("ab", "2");
+    Explore.Insert ("ac", "3") ]
 
 (* keep_going must complete the sweep and collect every violating
    schedule instead of raising on the first. *)
@@ -236,17 +242,17 @@ let keep_going_collects () =
       (tampered_target ()) tampered_ops
   in
   Alcotest.(check bool) "violations were collected" true
-    (List.length r.Fault.violations > 1);
+    (List.length r.Explore.violations > 1);
   Alcotest.(check int) "sweep still covered every boundary"
-    r.Fault.total_flushes r.Fault.schedules;
+    r.Explore.total_flushes r.Explore.schedules;
   (* every collected violation carries exact replay coordinates *)
   List.iter
     (fun v ->
       Alcotest.(check string) "violation names its target" "tampered"
-        v.Fault.v_target;
+        v.Explore.v_target;
       Alcotest.(check bool) "violation schedule is in range" true
-        (v.Fault.v_schedule >= 0 && v.Fault.v_schedule < r.Fault.total_flushes))
-    r.Fault.violations;
+        (v.Explore.v_schedule >= 0 && v.Explore.v_schedule < r.Explore.total_flushes))
+    r.Explore.violations;
   (* a clean target under keep_going collects nothing *)
   let name, setup, ops = find "mixed-dense" in
   let ok =
@@ -254,7 +260,41 @@ let keep_going_collects () =
       Fault.hart ops
   in
   Alcotest.(check (list string)) "clean target: no violations" []
-    (List.map Fault.violation_message ok.Fault.violations)
+    (List.map Explore.violation_message ok.Explore.violations)
+
+(* Recovery that fails with a typed error must become a violation of
+   the schedule it happened in — under keep-going the sweep carries on
+   and reports it — instead of escaping the sweep. The forged target's
+   every third reattach (main, idempotence or nested recovery alike)
+   raises [Hart_error.Error]. *)
+let typed_recovery_error_is_violation () =
+  let module Hart_error = Hart_core.Hart_error in
+  let calls = ref 0 in
+  let forged =
+    {
+      Fault.hart with
+      Fault.target_name = "forged";
+      reattach =
+        (fun pool ->
+          incr calls;
+          if !calls mod 3 = 0 then
+            Hart_error.error (Hart_error.Pool_line { line = 0 }) "forged";
+          Fault.hart.Fault.reattach pool);
+    }
+  in
+  let name, setup, ops = find "update-log" in
+  let r = Fault.explore ~keep_going:true ~setup ~workload:name forged ops in
+  Alcotest.(check int) "sweep still covered every boundary"
+    r.Explore.total_flushes r.Explore.schedules;
+  Alcotest.(check bool) "typed errors were recorded" true
+    (r.Explore.violations <> []);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "detail names the typed error: %s" v.Explore.v_detail)
+        true
+        (contains ~sub:"pool line 0: forged" v.Explore.v_detail))
+    r.Explore.violations
 
 (* ------------------------------------------------------------------ *)
 (* All eight §II indexes as fault targets                              *)
@@ -297,11 +337,6 @@ let baseline_cases =
       ])
     baseline_targets
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Media-fault sweep                                                   *)
 
@@ -315,7 +350,7 @@ let media_sweep_target tgt () =
   in
   Alcotest.(check int) "every site ran" 6 (List.length r.Fault.m_sites);
   Alcotest.(check (list string)) "no silent wrong answers" []
-    (List.map Fault.violation_message r.Fault.m_violations);
+    (List.map Explore.violation_message r.Fault.m_violations);
   (* not vacuous: most drawn faults corrupt content the mount must react
      to (only an unwritten stuck line may stay benign) *)
   Alcotest.(check bool) "some sites were non-benign" true
@@ -396,12 +431,12 @@ let adversarial_sweep () =
     (List.length rs);
   (match rs with
   | first :: rest ->
-      (match first.Fault.mode with
+      (match first.Explore.mode with
       | Pmem.Torn_commit -> ()
       | _ -> Alcotest.fail "first pass must evict the commit-point line");
       List.iteri
         (fun k r ->
-          match r.Fault.mode with
+          match r.Explore.mode with
           | Pmem.Torn { seed; _ } ->
               Alcotest.(check int64) "subset seeds are consecutive"
                 (Int64.add 0xF417L (Int64.of_int k))
@@ -423,12 +458,12 @@ let adversarial_directed () =
     (List.length rs);
   (match rs with
   | directed :: commit :: _ ->
-      (match directed.Fault.mode with
+      (match directed.Explore.mode with
       | Pmem.Clean -> ()
       | _ -> Alcotest.fail "directed pass sweeps clean crashes");
       Alcotest.(check bool) "directed torn re-runs happened" true
-        (directed.Fault.directed_schedules > 0);
-      (match commit.Fault.mode with
+        (directed.Explore.directed_schedules > 0);
+      (match commit.Explore.mode with
       | Pmem.Torn_commit -> ()
       | _ -> Alcotest.fail "second pass must evict the commit-point line")
   | _ -> Alcotest.fail "no reports");
@@ -439,14 +474,14 @@ let adversarial_directed () =
 
 let violation_json () =
   Alcotest.(check string) "empty array diffs clean" "[]\n"
-    (Fault.violation_list_json []);
+    (Explore.violation_list_json []);
   let r =
     Fault.explore ~nested:false ~keep_going:true ~workload:"tampered"
       (tampered_target ()) tampered_ops
   in
-  let j = Fault.violations_to_json [ r ] in
+  let j = Explore.violations_to_json [ r ] in
   Alcotest.(check bool) "at least one violation serialized" true
-    (List.length r.Fault.violations > 0);
+    (List.length r.Explore.violations > 0);
   List.iter
     (fun sub ->
       Alcotest.(check bool)
@@ -460,23 +495,23 @@ let violation_json () =
   let name, setup, ops = find "update-log" in
   let ok = Fault.explore ~nested:false ~setup ~workload:name Fault.hart ops in
   Alcotest.(check string) "clean run -> empty baseline" "[]\n"
-    (Fault.violations_to_json [ ok ])
+    (Explore.violations_to_json [ ok ])
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent crash explorer (Fault_mt)                                *)
 
 let mt_check_report ?(min_in_flight = 2) r =
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_mt.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
+    (r.Explore.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
   Alcotest.(check bool)
     (Printf.sprintf "saw >= %d ops in flight at some crash" min_in_flight)
     true
-    (r.Fault_mt.max_in_flight >= min_in_flight);
+    (r.Explore.max_in_flight >= min_in_flight);
   Alcotest.(check bool) "some schedules crash with >= 2 ops in flight" true
-    (r.Fault_mt.multi_in_flight > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Explore.multi_in_flight > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 let mt_sweep ~domains () =
   let setup, scripts = Fault_mt.default_workload ~domains ~ops_per_domain:4 in
@@ -496,10 +531,11 @@ let mt_torn_sweep () =
    prefix, in-flight set and recovered state all equal. *)
 let mt_determinism () =
   let setup, scripts = Fault_mt.default_workload ~domains:3 ~ops_per_domain:4 in
-  let p1 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
-  let p2 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
+  let case = Fault_mt.case ~seed:7L ~workload:"mt-det" ~setup scripts in
+  let p1 = Explore.probe ~schedule:20 case in
+  let p2 = Explore.probe ~schedule:20 case in
   Alcotest.(check bool) "replay is bit-identical" true (p1 = p2);
-  Alcotest.(check bool) "the armed schedule fired" true p1.Fault_mt.p_crashed
+  Alcotest.(check bool) "the armed schedule fired" true p1.Explore.p_crashed
 
 let mt_subsample () =
   let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:4 in
@@ -508,10 +544,10 @@ let mt_subsample () =
       ~setup scripts
   in
   Alcotest.(check bool) "subsampled below full coverage" true
-    (r.Fault_mt.schedules > 0
-    && r.Fault_mt.schedules <= 11
-    && r.Fault_mt.schedules < r.Fault_mt.total_flushes);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Explore.schedules > 0
+    && r.Explore.schedules <= 11
+    && r.Explore.schedules < r.Explore.total_flushes);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* The generalised explorer over the other striped front ends: FPTree
    (leaf-group stripes, splits exclusive) and WOART (radix-prefix
@@ -525,14 +561,14 @@ let mt_index_sweep target () =
       scripts
   in
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_mt.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
+    (r.Explore.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
   Alcotest.(check bool) "saw an op in flight at some crash" true
-    (r.Fault_mt.max_in_flight >= 1);
+    (r.Explore.max_in_flight >= 1);
   Alcotest.(check bool) "saw contended (waiting-writer) crash points" true
-    (r.Fault_mt.contended > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Explore.contended > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* Same-stripe collisions on purpose: the sweep must cross crash points
    where a colliding op is waiting for the stripe while another op is
@@ -544,7 +580,7 @@ let mt_collide () =
   in
   mt_check_report r;
   Alcotest.(check bool) "saw contended (waiting-writer) crash points" true
-    (r.Fault_mt.contended > 0)
+    (r.Explore.contended > 0)
 
 (* Seeded generator: each seed is a different mix of commuting and
    colliding inserts/updates/deletes/searches; three seeds per CI run. *)
@@ -560,11 +596,11 @@ let mt_generated () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %Ld has flush boundaries" seed)
         true
-        (r.Fault_mt.total_flushes > 0);
+        (r.Explore.total_flushes > 0);
       Alcotest.(check int)
         (Printf.sprintf "seed %Ld no violations" seed)
         0
-        (List.length r.Fault_mt.violations))
+        (List.length r.Explore.violations))
     [ 42L; 43L; 44L ];
   (* determinism of the generator itself: same seed, same scripts *)
   Alcotest.(check bool) "generator is a pure function of the seed" true
@@ -583,25 +619,25 @@ let mt_checkpoint_equivalence () =
     Fault_mt.explore ~checkpoint_every:20 ~seed:42L ~domains:2
       ~workload:"mt-cp" ~setup scripts
   in
-  Alcotest.(check int) "same flush census" plain.Fault_mt.total_flushes
-    cp.Fault_mt.total_flushes;
-  Alcotest.(check int) "same schedule count" plain.Fault_mt.schedules
-    cp.Fault_mt.schedules;
-  Alcotest.(check int) "same max in-flight" plain.Fault_mt.max_in_flight
-    cp.Fault_mt.max_in_flight;
+  Alcotest.(check int) "same flush census" plain.Explore.total_flushes
+    cp.Explore.total_flushes;
+  Alcotest.(check int) "same schedule count" plain.Explore.schedules
+    cp.Explore.schedules;
+  Alcotest.(check int) "same max in-flight" plain.Explore.max_in_flight
+    cp.Explore.max_in_flight;
   Alcotest.(check int) "same multi-in-flight census"
-    plain.Fault_mt.multi_in_flight cp.Fault_mt.multi_in_flight;
-  Alcotest.(check int) "same contention census" plain.Fault_mt.contended
-    cp.Fault_mt.contended;
+    plain.Explore.multi_in_flight cp.Explore.multi_in_flight;
+  Alcotest.(check int) "same contention census" plain.Explore.contended
+    cp.Explore.contended;
   Alcotest.(check int) "plain run took no checkpoints" 0
-    plain.Fault_mt.checkpoints;
+    plain.Explore.checkpoints;
   Alcotest.(check bool) "checkpointed run took snapshots" true
-    (cp.Fault_mt.checkpoints > 0);
+    (cp.Explore.checkpoints > 0);
   Alcotest.(check bool) "some schedules replayed from a snapshot" true
-    (cp.Fault_mt.checkpoint_replays > 0);
+    (cp.Explore.checkpoint_replays > 0);
   Alcotest.(check int) "no violations either way" 0
-    (List.length plain.Fault_mt.violations
-    + List.length cp.Fault_mt.violations)
+    (List.length plain.Explore.violations
+    + List.length cp.Explore.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Nested concurrent recovery re-crash: after every mid-flight crash
@@ -616,11 +652,11 @@ let mt_nested_sweep target () =
     Fault_mt.explore ~target ~nested:true ~seed:42L ~domains:2
       ~workload:"mt-nested" ~setup scripts
   in
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
-  Alcotest.(check int) "full nested coverage" r.Fault_mt.recovery_flushes
-    r.Fault_mt.nested_schedules;
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+  Alcotest.(check int) "full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
+  Alcotest.(check int) "full nested coverage" r.Explore.recovery_flushes
+    r.Explore.nested_schedules;
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* HART's recovery rewrites PM (micro-log replay, bitmap repair), so
    the nested sweep must actually have boundaries to crash. *)
@@ -631,8 +667,8 @@ let mt_nested_hart_covers () =
       ~setup scripts
   in
   Alcotest.(check bool) "hart recovery flushes were re-crashed" true
-    (r.Fault_mt.nested_schedules > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Explore.nested_schedules > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* FPTree split-repair racing fresh writers: domain 0 drives one hot
    leaf past capacity (leaf_cap = 32) while domain 1 keeps updating the
@@ -650,18 +686,57 @@ let mt_split_race_pin () =
         Fault_mt.explore ?mode ~target:Fault_mt.fptree_mt ~nested:true
           ~seed:42L ~domains:2 ~workload:"mt-split-race" ~setup scripts
       in
-      Alcotest.(check int) "pinned schedule space" 99 r.Fault_mt.total_flushes;
-      Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-        r.Fault_mt.schedules;
-      Alcotest.(check int) "full nested coverage" r.Fault_mt.recovery_flushes
-        r.Fault_mt.nested_schedules;
+      Alcotest.(check int) "pinned schedule space" 99 r.Explore.total_flushes;
+      Alcotest.(check int) "full coverage" r.Explore.total_flushes
+        r.Explore.schedules;
+      Alcotest.(check int) "full nested coverage" r.Explore.recovery_flushes
+        r.Explore.nested_schedules;
       Alcotest.(check bool) "split-side contention crossed" true
-        (r.Fault_mt.contended > 0);
+        (r.Explore.contended > 0);
       Alcotest.(check bool) "writers in flight at crash points" true
-        (r.Fault_mt.multi_in_flight > 0);
+        (r.Explore.multi_in_flight > 0);
       Alcotest.(check int) "no violations" 0
-        (List.length r.Fault_mt.violations))
+        (List.length r.Explore.violations))
     [ None; Some (Pmem.Torn { seed = 5L; fraction = 0.5 }) ]
+
+(* A concurrent index whose bindings are right but whose quiesced
+   integrity check fails: the crash-free dry run must reject it before
+   any crash is injected. *)
+module Bad_check_mt = struct
+  include Hart_core.Hart_mt.M
+
+  let name = "bad-check"
+
+  let check_integrity ~recovered t =
+    if not recovered then failwith "bad-check: quiesced store fails integrity";
+    check_integrity ~recovered t
+end
+
+let mt_dry_run_checks_integrity () =
+  let target = Fault_mt.of_mt (module Bad_check_mt) in
+  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:2 in
+  match
+    Fault_mt.explore ~target ~seed:42L ~domains:2 ~workload:"bad-check" ~setup
+      scripts
+  with
+  | (_ : Explore.report) ->
+      Alcotest.fail "dry run accepted a store failing its integrity check"
+  | exception Explore.Violation msg ->
+      Alcotest.(check bool) "the violation names the integrity failure" true
+        (contains ~sub:"quiesced store fails integrity" msg)
+
+(* Pin the concurrent gate's exhaustive census: hart-mt at 2 domains,
+   default workload, seed 42, with nested recovery re-crash. *)
+let mt_census_pin () =
+  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:6 in
+  let r =
+    Fault_mt.explore ~nested:true ~seed:42L ~domains:2 ~workload:"mt-default"
+      ~setup scripts
+  in
+  Alcotest.(check int) "flush boundaries" 69 r.Explore.total_flushes;
+  Alcotest.(check int) "schedules" 69 r.Explore.schedules;
+  Alcotest.(check int) "nested schedules" 210 r.Explore.nested_schedules;
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic simulation of the full KV server stack (Fault_server):
@@ -673,16 +748,16 @@ module Fault_server = Hart_fault.Fault_server
 
 let srv_check_report r =
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_server.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_server.total_flushes
-    r.Fault_server.schedules;
+    (r.Explore.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
   Alcotest.(check bool) "pipelined batch ops in flight at some crash" true
-    (r.Fault_server.max_in_flight >= 2);
+    (r.Explore.max_in_flight >= 2);
   Alcotest.(check bool) "schedules with >= 2 ops in flight" true
-    (r.Fault_server.multi_in_flight > 0);
+    (r.Explore.multi_in_flight > 0);
   Alcotest.(check bool) "write acks parsed across crashed schedules" true
-    (r.Fault_server.acked_writes > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_server.violations)
+    (r.Explore.acked_writes > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 let srv_sweep ?mode () =
   let setup, scripts =
@@ -706,12 +781,12 @@ let srv_drop_sweep () =
       ~setup scripts
   in
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_server.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_server.total_flushes
-    r.Fault_server.schedules;
+    (r.Explore.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
   Alcotest.(check bool) "sessions hard-dropped mid-pipelined-batch" true
-    (r.Fault_server.dropped_sessions > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_server.violations)
+    (r.Explore.dropped_sessions > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Explore.violations)
 
 (* The whole stack — fragmentation, fiber choice, batching, crash — is
    a pure function of (seed, schedule). *)
@@ -719,11 +794,41 @@ let srv_determinism () =
   let setup, scripts =
     Fault_server.default_workload ~clients:2 ~ops_per_client:6
   in
-  let p1 = Fault_server.probe ~seed:7L ~schedule:25 ~setup scripts in
-  let p2 = Fault_server.probe ~seed:7L ~schedule:25 ~setup scripts in
+  let case = Fault_server.case ~seed:7L ~workload:"srv-det" ~setup scripts in
+  let p1 = Explore.probe ~schedule:25 case in
+  let p2 = Explore.probe ~schedule:25 case in
   Alcotest.(check bool) "byte-level replay is identical" true (p1 = p2);
-  Alcotest.(check bool) "the armed schedule fired" true p1.Fault_server.p_crashed;
-  Alcotest.(check (list string)) "no oracle errors" [] p1.Fault_server.p_errors
+  Alcotest.(check bool) "the armed schedule fired" true p1.Explore.p_crashed;
+  Alcotest.(check (list string)) "no oracle errors" [] p1.Explore.p_errors
+
+(* Pin the server gate's schedule space as the CLI sweeps it: 2 clients
+   x 28 ops, seed 11, clean, both workloads. *)
+let srv_census_pin () =
+  let setup, scripts = Fault_server.default_workload ~clients:2 ~ops_per_client:28 in
+  let r =
+    Fault_server.explore ~seed:11L ~clients:2 ~workload:"srv-default" ~setup
+      scripts
+  in
+  Alcotest.(check int) "srv-default schedules" 222 r.Explore.schedules;
+  Alcotest.(check int) "srv-default full coverage" r.Explore.total_flushes
+    r.Explore.schedules;
+  Alcotest.(check int) "srv-default multi-in-flight" 81 r.Explore.multi_in_flight;
+  Alcotest.(check int) "srv-default acks" 4068 r.Explore.acked_writes;
+  Alcotest.(check int) "srv-default no violations" 0
+    (List.length r.Explore.violations);
+  let setup, scripts, drops =
+    Fault_server.drop_workload ~clients:2 ~ops_per_client:28
+  in
+  let r =
+    Fault_server.explore ~drops ~seed:11L ~clients:2 ~workload:"srv-drop"
+      ~setup scripts
+  in
+  Alcotest.(check int) "srv-drop schedules" 114 r.Explore.schedules;
+  Alcotest.(check int) "srv-drop dropped sessions" 114
+    r.Explore.dropped_sessions;
+  Alcotest.(check int) "srv-drop acks" 1006 r.Explore.acked_writes;
+  Alcotest.(check int) "srv-drop no violations" 0
+    (List.length r.Explore.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Self-minimizing reproducers: re-inject the PR 3 free-before-sever
@@ -744,11 +849,11 @@ let with_injected_bug f =
 (* Does this (seed, workload) violate under deterministic replay? *)
 let mt_violates ~seed ~setup scripts =
   match
-    Fault_mt.explore ~keep_going:true ~stop_after_first:true ~seed
-      ~domains:(Array.length scripts) ~workload:"inject" ~setup scripts
+    Explore.sweep ~keep_going:true ~stop_after_first:true
+      (Fault_mt.case ~seed ~workload:"inject" ~setup scripts)
   with
-  | r -> r.Fault_mt.violations <> []
-  | exception Fault.Violation _ -> true
+  | r -> r.Explore.violations <> []
+  | exception Explore.Violation _ -> true
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   (* a corrupted target can also trip the explorer itself; like the
      shrinker, count any deterministic failure as a violation *)
@@ -778,20 +883,20 @@ let mt_shrink_regression () =
           match Fault_mt.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let repro = s.Fault_mt.s_repro in
-              let ops = Fault.repro_ops repro in
+              let repro = s.Explore.s_repro in
+              let ops = Explore.repro_ops repro in
               Alcotest.(check bool)
                 (Printf.sprintf "reproducer has <= 10 ops (got %d)" ops)
                 true (ops <= 10);
               Alcotest.(check bool) "reproducer has <= 2 domains" true
-                (repro.Fault.r_domains <= 2);
+                (repro.Explore.r_domains <= 2);
               Alcotest.(check bool) "shrink accepted at least one move" true
-                (s.Fault_mt.s_accepted > 0);
+                (s.Explore.s_accepted > 0);
               (* the minimal coordinates still violate, twice: the replay
                  is deterministic *)
               let still () =
-                mt_violates ~seed:repro.Fault.r_seed ~setup:repro.Fault.r_setup
-                  repro.Fault.r_scripts
+                mt_violates ~seed:repro.Explore.r_seed ~setup:repro.Explore.r_setup
+                  repro.Explore.r_scripts
               in
               Alcotest.(check bool) "shrunk workload still violates" true
                 (still ());
@@ -805,9 +910,9 @@ let mt_shrink_regression () =
    shrinker must reproduce a <= 3-op reproducer. *)
 let mt_shrink_minimal_shape () =
   with_injected_bug (fun () ->
-      let setup = [ Fault.Insert ("aa00", "v0"); Fault.Insert ("bb00", "v1") ] in
+      let setup = [ Explore.Insert ("aa00", "v0"); Explore.Insert ("bb00", "v1") ] in
       let scripts =
-        [| [ Fault.Update ("aa00", "u0") ]; [ Fault.Delete "bb00" ] |]
+        [| [ Explore.Update ("aa00", "u0") ]; [ Explore.Delete "bb00" ] |]
       in
       let seed =
         List.find_opt
@@ -820,7 +925,7 @@ let mt_shrink_minimal_shape () =
           match Fault_mt.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let ops = Fault.repro_ops s.Fault_mt.s_repro in
+              let ops = Explore.repro_ops s.Explore.s_repro in
               Alcotest.(check bool)
                 (Printf.sprintf "<= 3-op reproducer (got %d)" ops)
                 true (ops <= 3)))
@@ -839,11 +944,11 @@ let mt_no_violation_when_fixed () =
 
 let srv_violates ~seed ~setup scripts =
   match
-    Fault_server.explore ~keep_going:true ~stop_after_first:true ~seed
-      ~clients:(Array.length scripts) ~workload:"srv-inject" ~setup scripts
+    Explore.sweep ~keep_going:true ~stop_after_first:true
+      (Fault_server.case ~seed ~workload:"srv-inject" ~setup scripts)
   with
-  | r -> r.Fault_server.violations <> []
-  | exception Fault.Violation _ -> true
+  | r -> r.Explore.violations <> []
+  | exception Explore.Violation _ -> true
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   | exception _ -> true
 
@@ -867,17 +972,17 @@ let srv_shrink_regression () =
           match Fault_server.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let repro = s.Fault_mt.s_repro in
+              let repro = s.Explore.s_repro in
               Alcotest.(check bool) "reproducer has <= 2 clients" true
-                (repro.Fault.r_domains <= 2);
+                (repro.Explore.r_domains <= 2);
               Alcotest.(check bool)
                 (Printf.sprintf "reproducer has <= 12 ops (got %d)"
-                   (Fault.repro_ops repro))
+                   (Explore.repro_ops repro))
                 true
-                (Fault.repro_ops repro <= 12);
+                (Explore.repro_ops repro <= 12);
               let still () =
-                srv_violates ~seed:repro.Fault.r_seed
-                  ~setup:repro.Fault.r_setup repro.Fault.r_scripts
+                srv_violates ~seed:repro.Explore.r_seed
+                  ~setup:repro.Explore.r_setup repro.Explore.r_scripts
               in
               Alcotest.(check bool) "shrunk session still violates" true
                 (still ());
@@ -889,6 +994,85 @@ let srv_no_violation_when_fixed () =
   in
   Alcotest.(check bool) "fixed allocator passes the same server sweep" false
     (srv_violates ~seed:1L ~setup scripts)
+
+(* ------------------------------------------------------------------ *)
+(* [hart_cli fault --replay]: the CLI must print exactly the coordinates
+   the core's probe returns for the same (case, mode, schedule). *)
+
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/hart_cli.exe"
+
+let run_cli args =
+  let ic = Unix.open_process_args_in cli (Array.of_list (cli :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "hart_cli %s failed" (String.concat " " args)
+
+let expected_replay ~label ~schedule (case : Explore.case) (p : Explore.probe) =
+  let bindings bs = String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) bs) in
+  let state = function Ok bs -> bindings bs | Error m -> "FAILURE: " ^ m in
+  let ops what =
+    List.map (fun (i, op) ->
+        Format.asprintf "%s %s %d: %a" what label i Explore.pp_op op)
+  in
+  String.concat "\n"
+    ([
+       Printf.sprintf "[%s/%s] mode=clean schedule=%d" case.Explore.name
+         case.Explore.workload schedule;
+       Printf.sprintf "crashed=%b flushes=%d recovery-flushes=%d" p.Explore.p_crashed
+         p.Explore.p_flushes p.Explore.p_recovery_flushes;
+       "committed: " ^ bindings p.Explore.p_committed;
+     ]
+    @ ops "in-flight" p.Explore.p_in_flight
+    @ ops "waiting" p.Explore.p_waiting
+    @ List.map (fun e -> "error: " ^ e) p.Explore.p_errors
+    @ [ "recovered: " ^ state p.Explore.p_state ]
+    @ List.map
+        (fun (m, st) ->
+          Printf.sprintf "nested %d%s: %s" m
+            (if st = p.Explore.p_state then "" else " (DIFFERS)")
+            (state st))
+        p.Explore.p_nested)
+  ^ "\n"
+
+let cli_replay_matches_probe () =
+  let check args expected =
+    Alcotest.(check string) (String.concat " " args) expected (run_cli args)
+  in
+  (* concurrent, with the nested boundaries *)
+  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:6 in
+  let case = Fault_mt.case ~seed:42L ~workload:"mt-default" ~setup scripts in
+  let p = Explore.probe ~nested:true ~schedule:20 case in
+  Alcotest.(check bool) "the replayed schedule crashed" true p.Explore.p_crashed;
+  Alcotest.(check bool) "nested boundaries were replayed" true
+    (p.Explore.p_nested <> []);
+  check
+    [ "fault"; "--domains"; "2"; "--nested-mt"; "--replay"; "20" ]
+    (expected_replay ~label:"fiber" ~schedule:20 case p);
+  (* one generated workload, named as the sweep reports it, under the
+     sweep's own interleaving seed *)
+  let setup, scripts = Fault_mt.gen_workload ~seed:43L ~domains:2 ~ops_per_domain:6 in
+  let case = Fault_mt.case ~seed:42L ~workload:"mt-gen#43" ~setup scripts in
+  check
+    [ "fault"; "--domains"; "2"; "--mt-workload"; "mt-gen#43"; "--replay"; "11" ]
+    (expected_replay ~label:"fiber" ~schedule:11 case
+       (Explore.probe ~schedule:11 case));
+  (* the server sweep replays both of its workloads *)
+  let setup, scripts = Fault_server.default_workload ~clients:2 ~ops_per_client:28 in
+  let dsetup, dscripts, drops = Fault_server.drop_workload ~clients:2 ~ops_per_client:28 in
+  let cases =
+    [
+      Fault_server.case ~seed:11L ~workload:"srv-default" ~setup scripts;
+      Fault_server.case ~drops ~seed:11L ~workload:"srv-drop" ~setup:dsetup
+        dscripts;
+    ]
+  in
+  check
+    [ "fault"; "--server"; "--seed"; "11"; "--replay"; "30" ]
+    (String.concat ""
+       (List.map
+          (fun c -> expected_replay ~label:"client" ~schedule:30 c (Explore.probe ~schedule:30 c))
+          cases))
 
 let () =
   Alcotest.run "fault"
@@ -925,6 +1109,8 @@ let () =
           Alcotest.test_case "detects broken target" `Quick detects_violation;
           Alcotest.test_case "keep-going collects all violations" `Quick
             keep_going_collects;
+          Alcotest.test_case "typed recovery error is a violation" `Quick
+            typed_recovery_error_is_violation;
           Alcotest.test_case "all eight targets registered" `Quick
             all_targets_registered;
         ] );
@@ -952,6 +1138,11 @@ let () =
         ] );
       ( "json",
         [ Alcotest.test_case "violation serialization" `Quick violation_json ] );
+      ( "replay",
+        [
+          Alcotest.test_case "hart_cli --replay prints the probe" `Quick
+            cli_replay_matches_probe;
+        ] );
       ( "mt",
         [
           Alcotest.test_case "2-domain exhaustive sweep" `Quick (mt_sweep ~domains:2);
@@ -985,6 +1176,10 @@ let () =
             mt_checkpoint_equivalence;
           Alcotest.test_case "fptree split-race pinned nested sweep" `Quick
             mt_split_race_pin;
+          Alcotest.test_case "dry run checks quiesced integrity" `Quick
+            mt_dry_run_checks_integrity;
+          Alcotest.test_case "hart-mt default census pinned" `Quick
+            mt_census_pin;
         ] );
       ( "server-dst",
         [
@@ -993,6 +1188,8 @@ let () =
           Alcotest.test_case "hard-drop mid-batch sweep" `Quick srv_drop_sweep;
           Alcotest.test_case "byte-level replay determinism" `Quick
             srv_determinism;
+          Alcotest.test_case "2-client x 28-op census pinned" `Quick
+            srv_census_pin;
           Alcotest.test_case "injected bug to minimal repro" `Quick
             srv_shrink_regression;
           Alcotest.test_case "no violation once fixed" `Quick

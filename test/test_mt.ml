@@ -494,7 +494,7 @@ module Toy_good_mt = Hart_core.Striped_mt.Make (Toy_good)
 let toy_scripts ~domains ~ops_per_domain =
   Array.init domains (fun d ->
       List.init ops_per_domain (fun j ->
-          Hart_fault.Fault.Insert
+          Hart_fault.Explore.Insert
             (Printf.sprintf "t%c-%02d" (Char.chr (Char.code 'a' + d)) j,
              Printf.sprintf "v%d.%d" d j)))
 
@@ -511,7 +511,7 @@ let test_toy_bad_rejected () =
         ~workload:"toy-bad" scripts
     with
     | _ -> ()
-    | exception Hart_fault.Fault.Violation _ -> incr caught
+    | exception Hart_fault.Explore.Violation _ -> incr caught
   done;
   Alcotest.(check bool)
     "non-commuting shard claim rejected by the oracle" true (!caught > 0)
@@ -544,7 +544,7 @@ let test_wort_update_commute () =
     List.concat_map
       (fun p ->
         List.init 3 (fun j ->
-            Hart_fault.Fault.Insert (Printf.sprintf "%s-%02d" p j, "s0")))
+            Hart_fault.Explore.Insert (Printf.sprintf "%s-%02d" p j, "s0")))
       prefixes
   in
   let scripts =
@@ -555,9 +555,9 @@ let test_wort_update_commute () =
              (List.init 3 (fun j ->
                   let key = Printf.sprintf "%s-%02d" p j in
                   [
-                    Hart_fault.Fault.Update (key, Printf.sprintf "u%d" j);
+                    Hart_fault.Explore.Update (key, Printf.sprintf "u%d" j);
                     (* upsert onto an existing key: an update in WORT *)
-                    Hart_fault.Fault.Insert (key, Printf.sprintf "w%d" j);
+                    Hart_fault.Explore.Insert (key, Printf.sprintf "w%d" j);
                   ])))
          prefixes)
   in
@@ -576,7 +576,7 @@ let test_wort_insert_serializes () =
   let scripts =
     Array.init 2 (fun d ->
         List.init 3 (fun j ->
-            Hart_fault.Fault.Insert
+            Hart_fault.Explore.Insert
               (Printf.sprintf "w%c-%02d" (Char.chr (Char.code 'p' + d)) j, "v")))
   in
   let r =
